@@ -1,72 +1,44 @@
-"""Command-line entry point: regenerate any of the paper's tables/figures.
+"""Command-line entry point: the paper's figures, bench targets and gates.
 
 Usage::
 
-    python -m repro.bench fig2a
-    python -m repro.bench fig2b  [--scale 500]
-    python -m repro.bench fig4a  [--scale 500] [--stores leveldb,noblsm]
-    python -m repro.bench fig4b | fig4c | fig4d
-    python -m repro.bench table1 [--scale 500]
-    python -m repro.bench fig5a  [--scale 2000]
-    python -m repro.bench fig5b  [--scale 2000]
-    python -m repro.bench all
-    python -m repro.bench crash-matrix [--points 120] [--seed 0]
-                                       [--num 240] [--modes noblsm,sync]
-    python -m repro.bench parallelism  [--scale 2000] [--stores noblsm]
-                                       [--channels 1,4] [--threads 1,2]
-    python -m repro.bench fillrandom   [--observe] [--trace-out t.json]
-                                       [--scale 2000] [--stores noblsm]
-    python -m repro.bench speed        [--repeats 3] [--warmup 1]
-                                       [--scale 2000] [--stores noblsm]
-    python -m repro.bench soak         [--rate 40000] [--duration 0.75]
-                                       [--window-ms 25] [--stores noblsm]
-    python -m repro.bench serve        [--shards 4] [--tenants 6]
-                                       [--rate 90000] [--duration 0.3]
-                                       [--mode open] [--max-queue 32]
-    python -m repro.bench amplification [--scale 2000] [--num 0]
-                                       [--stores noblsm,noblsm-kv]
-                                       [--value-sizes 1024,4096]
-                                       [--value-threshold 1024]
-    python -m repro.bench slo           [--scenario serve|soak]
-                                       [--interval-ms 5] [--gate]
-                                       [--latency-slo-us 100]
-                                       [--rate 90000] [--duration 0.3]
-    python -m repro.bench compare BASELINE.json CURRENT.json
-                                       [--thresholds us_per_op=0.1,...]
-                                       [--json DIR]
+    python -m repro.bench fig2a | fig2b | fig4a..fig4d | table1
+    python -m repro.bench fig5a | fig5b | all
+    python -m repro.bench crash-matrix | parallelism | fillrandom | speed
+    python -m repro.bench soak | serve | amplification | slo
+    python -m repro.bench compare BASELINE.json CURRENT.json [--json DIR]
+    python -m repro.bench gate NAME --json DIR
+
+Every target prints its tables; ``--json DIR`` also writes its
+documents into ``DIR``. ``--help`` lists the flags and each target's
+defaults.
 
 ``crash-matrix`` is the durability sweep, not a figure: it exits
-non-zero if any crash point violates a durability invariant, so CI can
-gate on it. ``parallelism`` sweeps device channels x background
-compaction threads over compaction-bound fillrandom. ``fillrandom``
-runs one store once, optionally with observability (``--observe``) and
-causal tracing (``--trace-out`` writes a Perfetto-loadable Chrome
-trace and prints the critical-path attribution table). ``speed`` times
-the *simulator itself* — fillrandom run ``--repeats`` times with
-``--warmup`` discarded runs, reported as wall-clock ops/sec
-(``repro.speed/1``). ``soak`` runs the long-horizon stability pair —
-an open-loop Poisson workload measured in windowed p50/p99/p99.9, once
-with stock options and once with the rate limiter + dynamic slowdown —
-and prints ascii timelines (``repro.soak/1``). ``serve`` runs the
-sharded multi-tenant serving pair — N store shards behind the
-deterministic router with tenant-affine placement, hot-tenant zipf
-skew, a diurnal open-loop arrival curve, and per-shard admission
-control — once untuned and once fair-scheduled, reporting per-tenant
-and per-shard p50/p99/p99.9, the fairness ratio, and shed/queued
-counts (``repro.serve/1``). ``amplification`` sweeps write/read/space
+non-zero if any crash point violates a durability invariant.
+``parallelism`` sweeps device channels x background compaction threads
+over compaction-bound fillrandom. ``fillrandom`` runs one store once,
+optionally with observability (``--observe``) and causal tracing
+(``--trace-out`` writes a Perfetto-loadable Chrome trace and prints the
+critical-path attribution table). ``speed`` times the *simulator
+itself* — fillrandom run ``--repeats`` times after ``--warmup``
+discarded runs, reported as wall-clock ops/sec (``repro.speed/1``).
+``soak`` runs the long-horizon stability pair — an open-loop Poisson
+workload measured in windowed p50/p99/p99.9, once with stock options
+and once with the rate limiter + dynamic slowdown (``repro.soak/1``).
+``serve`` runs the sharded multi-tenant serving pair — N store shards
+behind the deterministic router with tenant-affine placement,
+hot-tenant zipf skew, a diurnal open-loop arrival curve and per-shard
+admission control — once untuned and once fair-scheduled
+(``repro.serve/1``). ``amplification`` sweeps write/read/space
 amplification over a large-value fillrandom grid, noblsm against the
 key-value-separated noblsm-kv (``repro.amplification/1``). ``slo`` runs
-the serve (or soak) pair with continuous telemetry attached — a
-virtual-time sampler scraping counters, gauges, windowed percentiles,
-and health probes at a fixed interval, with latency/availability SLO
-monitors firing multi-window burn-rate alerts — and prints the ASCII
-flight-recorder dashboard; ``--gate`` exits non-zero unless the untuned
-run fires a fast-burn alert while the tuned twin fires none
+the serve pair with continuous telemetry and burn-rate SLO alerts
+attached and prints the ASCII flight-recorder dashboard
 (``repro.slo/1`` plus per-variant ``repro.timeseries/1``). ``compare``
-diffs two ``repro.bench/1`` / ``repro.speed/1`` / ``repro.soak/1`` /
-``repro.serve/1`` / ``repro.amplification/1`` / ``repro.slo/1`` JSONs
-and exits non-zero on a regression — the CI perf gate; ``--json``
-additionally writes the machine-readable ``repro.compare/1`` report.
+diffs two documents of one schema and exits non-zero on a regression;
+``--json`` also writes the ``repro.compare/1`` report. ``gate`` runs
+one entry of the gate table (:mod:`repro.bench.gates`): the target at
+its CI size, the experiment's checks, and the baseline comparison.
 ``all`` regenerates the figures only.
 """
 
@@ -76,9 +48,10 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.bench import figures
+from repro.obs.export import write_document
 
 _FIG4 = {
     "fig4a": "fillrandom",
@@ -190,9 +163,28 @@ def _payload(
 ALL_TARGETS = ["fig2a", "fig2b", "fig4a", "fig4b", "fig4c", "fig4d",
                "table1", "fig5a", "fig5b"]
 
+#: targets that run exactly one store (``--stores`` takes one name)
+SINGLE_STORE = ("fillrandom", "speed", "parallelism", "soak", "serve", "slo")
 
-def _run_crash_matrix(args) -> int:
-    """The ``crash-matrix`` target: sweep crash points, gate on violations."""
+#: what a target runner returns: exit status + documents by file name
+Outcome = Tuple[int, Dict[str, object]]
+
+
+def _or(value, default):
+    """``value`` unless the flag was left unset (``None``)."""
+    return default if value is None else value
+
+
+def _store(args) -> str:
+    return args.stores or "noblsm"
+
+
+def _ints(spec: Optional[str], default) -> List[int]:
+    return [int(v) for v in spec.split(",")] if spec else list(default)
+
+
+def _run_crash_matrix(args) -> Outcome:
+    """The ``crash-matrix`` target: sweep crash points, fail on violations."""
     from repro.crashtest import (
         CrashMatrixConfig,
         matrix_payload,
@@ -201,29 +193,25 @@ def _run_crash_matrix(args) -> int:
     )
 
     modes = args.modes.split(",") if args.modes else ["noblsm", "sync"]
-    reports = []
-    for mode in modes:
-        config = CrashMatrixConfig(
-            mode=mode,
-            points=args.points,
-            seed=args.seed,
-            num_ops=args.num,
-            background_threads=args.bg_threads,
+    reports = [
+        run_crash_matrix(
+            CrashMatrixConfig(
+                mode=mode,
+                points=args.points,
+                seed=_or(args.seed, 0),
+                num_ops=_or(args.num, 240),
+                background_threads=args.bg_threads,
+            )
         )
-        reports.append(run_crash_matrix(config))
+        for mode in modes
+    ]
     print(render_matrix(reports))
-    if args.json:
-        os.makedirs(args.json, exist_ok=True)
-        path = os.path.join(args.json, "crash-matrix.json")
-        with open(path, "w") as fh:
-            json.dump(matrix_payload(reports), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\nwrote {path}")
-    return 0 if not any(r.violations for r in reports) else 1
+    status = 1 if any(r.violations for r in reports) else 0
+    return status, {"crash-matrix.json": matrix_payload(reports)}
 
 
-def _run_parallelism(args) -> int:
-    """The ``parallelism`` target: channels x threads sweep + JSON."""
+def _run_parallelism(args) -> Outcome:
+    """The ``parallelism`` target: channels x threads sweep."""
     from repro.bench.parallelism import (
         DEFAULT_CHANNELS,
         DEFAULT_SCALE,
@@ -231,49 +219,33 @@ def _run_parallelism(args) -> int:
         render_parallelism,
         run_parallelism,
     )
-    from repro.bench.report import write_results_json
+    from repro.bench.report import results_document
 
-    channels = (
-        [int(c) for c in args.channels.split(",")]
-        if args.channels
-        else list(DEFAULT_CHANNELS)
-    )
-    threads = (
-        [int(t) for t in args.threads.split(",")]
-        if args.threads
-        else list(DEFAULT_THREADS)
-    )
-    store = args.stores.split(",")[0] if args.stores else "noblsm"
+    channels = _ints(args.channels, DEFAULT_CHANNELS)
+    threads = _ints(args.threads, DEFAULT_THREADS)
+    store = _store(args)
     scale = args.scale or DEFAULT_SCALE
     results = run_parallelism(
         store=store,
         scale=scale,
-        num_ops=args.num if args.num != 240 else 0,
+        num_ops=_or(args.num, 0),
         channels=channels,
         threads=threads,
-        seed=args.seed if args.seed else 1234,
+        seed=_or(args.seed, 1234),
     )
     print(render_parallelism(results))
-    if args.json:
-        os.makedirs(args.json, exist_ok=True)
-        path = os.path.join(args.json, "parallelism.json")
-        write_results_json(
-            path,
-            results,
-            meta={
-                "target": "parallelism",
-                "store": store,
-                "scale": scale,
-                "channels": channels,
-                "threads": threads,
-            },
-        )
-        print(f"\nwrote {path}")
-    return 0
+    meta = {
+        "target": "parallelism",
+        "store": store,
+        "scale": scale,
+        "channels": channels,
+        "threads": threads,
+    }
+    return 0, {"parallelism.json": results_document(results, meta)}
 
 
-def _run_fillrandom(args) -> int:
-    """The ``fillrandom`` target: one store, optional trace + JSON."""
+def _run_fillrandom(args) -> Outcome:
+    """The ``fillrandom`` target: one store, optional trace."""
     import time
 
     from repro.bench.db_bench import run_fillrandom
@@ -281,25 +253,23 @@ def _run_fillrandom(args) -> int:
     from repro.bench.report import (
         format_breakdown_table,
         format_latency_table,
-        write_results_json,
+        results_document,
     )
     from repro.obs.critical_path import analyze_write_path, render_critical_path
     from repro.obs.trace import write_chrome_trace
 
     trace = args.trace_out is not None
-    store = args.stores.split(",")[0] if args.stores else "noblsm"
+    store = _store(args)
     scale = args.scale or 2000.0
-    seed = args.seed if args.seed else 1234
-    channels = int(args.channels.split(",")[0]) if args.channels else 1
-    threads = int(args.threads.split(",")[0]) if args.threads else 1
+    seed = _or(args.seed, 1234)
     config = ScaledConfig(
         scale=scale,
-        num_ops=args.num if args.num != 240 else 0,
+        num_ops=_or(args.num, 0),
         seed=seed,
         observe=args.observe or trace,
         trace=trace,
-        num_channels=channels,
-        background_threads=threads,
+        num_channels=_ints(args.channels, [1])[0],
+        background_threads=_ints(args.threads, [1])[0],
     )
     wall_start = time.perf_counter()
     result, stack, db = run_fillrandom(store, config)
@@ -316,6 +286,7 @@ def _run_fillrandom(args) -> int:
         print(format_latency_table([result]))
         print()
         print(format_breakdown_table([result]))
+    meta = {"target": "fillrandom", "store": store, "scale": scale, "seed": seed}
     if trace:
         report = analyze_write_path(stack.obs)
         print()
@@ -323,183 +294,134 @@ def _run_fillrandom(args) -> int:
         doc = write_chrome_trace(
             args.trace_out,
             stack.obs.tracer,
-            meta={
-                "target": "fillrandom",
-                "store": store,
-                "scale": scale,
-                "seed": seed,
-                "num_ops": result.num_ops,
-                "device": stack.ssd.profile.describe(),
-            },
+            meta=dict(
+                meta,
+                num_ops=result.num_ops,
+                device=stack.ssd.profile.describe(),
+            ),
         )
         print(
             f"\nwrote {args.trace_out} "
             f"({len(doc['traceEvents'])} events; open in ui.perfetto.dev)"
         )
-    if args.json:
-        os.makedirs(args.json, exist_ok=True)
-        path = os.path.join(args.json, "fillrandom.json")
-        write_results_json(
-            path,
-            [result],
-            meta={
-                "target": "fillrandom",
-                "store": store,
-                "scale": scale,
-                "seed": seed,
-            },
-        )
-        print(f"\nwrote {path}")
-    return 0
+    return 0, {"fillrandom.json": results_document([result], meta)}
 
 
-def _run_speed(args) -> int:
-    """The ``speed`` target: wall-clock simulator throughput + JSON."""
-    from repro.bench.speed import render_speed, run_speed, write_speed_json
+def _run_speed(args) -> Outcome:
+    """The ``speed`` target: wall-clock simulator throughput."""
+    from repro.bench.speed import render_speed, run_speed, speed_document
 
-    store = args.stores.split(",")[0] if args.stores else "noblsm"
+    store = _store(args)
     scale = args.scale or 2000.0
-    channels = int(args.channels.split(",")[0]) if args.channels else 1
-    threads = int(args.threads.split(",")[0]) if args.threads else 1
     result = run_speed(
         store=store,
         scale=scale,
-        num_ops=args.num if args.num != 240 else 0,
-        seed=args.seed if args.seed else 1234,
+        num_ops=_or(args.num, 0),
+        seed=_or(args.seed, 1234),
         repeats=args.repeats,
         warmup=args.warmup,
-        num_channels=channels,
-        background_threads=threads,
+        num_channels=_ints(args.channels, [1])[0],
+        background_threads=_ints(args.threads, [1])[0],
     )
     print(render_speed([result]))
-    if args.json:
-        os.makedirs(args.json, exist_ok=True)
-        path = os.path.join(args.json, "speed.json")
-        write_speed_json(
-            path,
-            [result],
-            meta={
-                "target": "speed",
-                "store": store,
-                "scale": scale,
-                "repeats": args.repeats,
-                "warmup": args.warmup,
-            },
-        )
-        print(f"\nwrote {path}")
-    return 0
+    meta = {
+        "target": "speed",
+        "store": store,
+        "scale": scale,
+        "repeats": args.repeats,
+        "warmup": args.warmup,
+    }
+    return 0, {"speed.json": speed_document([result], meta)}
 
 
-def _run_soak(args) -> int:
-    """The ``soak`` target: untuned + tuned stability pair, JSON + timeline."""
+def _run_soak(args) -> Outcome:
+    """The ``soak`` target: untuned + tuned stability pair + timeline."""
     from repro.bench.soak import (
         SoakConfig,
         render_soak,
         run_soak_pair,
-        write_soak_json,
+        soak_document,
     )
 
-    store = args.stores.split(",")[0] if args.stores else "noblsm"
-    scale = args.scale or 2000.0
-    seed = args.seed if args.seed else 1234
-    channels = int(args.channels.split(",")[0]) if args.channels else 1
-    threads = int(args.threads.split(",")[0]) if args.threads else 1
     config = SoakConfig(
-        store=store,
-        scale=scale,
-        seed=seed,
-        arrival_rate=args.rate if args.rate is not None else 40_000.0,
-        duration_s=args.duration if args.duration is not None else 0.75,
+        store=_store(args),
+        scale=args.scale or 2000.0,
+        seed=_or(args.seed, 1234),
+        arrival_rate=_or(args.rate, 40_000.0),
+        duration_s=_or(args.duration, 0.75),
         window_ms=args.window_ms,
-        num_channels=channels,
-        background_threads=threads,
+        num_channels=_ints(args.channels, [1])[0],
+        background_threads=_ints(args.threads, [1])[0],
     )
     results = run_soak_pair(config)
     rendered = render_soak(results)
     print(rendered)
-    if args.json:
-        os.makedirs(args.json, exist_ok=True)
-        path = os.path.join(args.json, "soak.json")
-        write_soak_json(
-            path,
-            results,
-            meta={
-                "target": "soak",
-                "store": store,
-                "scale": scale,
-                "seed": seed,
-                "arrival_rate": args.rate,
-                "duration_s": args.duration,
-                "window_ms": args.window_ms,
-            },
-        )
-        timeline = os.path.join(args.json, "soak-timeline.txt")
-        with open(timeline, "w") as fh:
-            fh.write(rendered + "\n")
-        print(f"\nwrote {path} and {timeline}")
-    return 0
+    meta = {
+        "target": "soak",
+        "store": config.store,
+        "scale": config.scale,
+        "seed": config.seed,
+        "arrival_rate": config.arrival_rate,
+        "duration_s": config.duration_s,
+        "window_ms": config.window_ms,
+    }
+    return 0, {
+        "soak.json": soak_document(results, meta),
+        "soak-timeline.txt": rendered + "\n",
+    }
 
 
-def _run_serve(args) -> int:
-    """The ``serve`` target: untuned + fair cluster pair, JSON + timeline."""
-    from repro.serve import (
-        ServeConfig,
-        render_serve,
-        run_serve_pair,
-        write_serve_json,
-    )
+def _serve_config(args, **extra):
+    from repro.serve import ServeConfig
 
-    store = args.stores.split(",")[0] if args.stores else "noblsm"
-    scale = args.scale or 2000.0
-    seed = args.seed if args.seed else 1234
-    channels = int(args.channels.split(",")[0]) if args.channels else 1
-    threads = int(args.threads.split(",")[0]) if args.threads else 1
-    config = ServeConfig(
-        store=store,
+    return ServeConfig(
+        store=_store(args),
         num_shards=args.shards,
         num_tenants=args.tenants,
-        scale=scale,
-        seed=seed,
-        arrival_rate=args.rate if args.rate is not None else 90_000.0,
-        duration_s=args.duration if args.duration is not None else 0.3,
+        scale=args.scale or 2000.0,
+        seed=_or(args.seed, 1234),
+        arrival_rate=_or(args.rate, 90_000.0),
+        duration_s=_or(args.duration, 0.3),
         window_ms=args.window_ms,
         diurnal_amplitude=args.amplitude,
         spread=args.spread,
         max_queue=args.max_queue,
+        **extra,
+    )
+
+
+def _run_serve(args) -> Outcome:
+    """The ``serve`` target: untuned + fair cluster pair + timeline."""
+    from repro.serve import render_serve, run_serve_pair, serve_document
+
+    config = _serve_config(
+        args,
         mode=args.mode,
-        num_channels=channels,
-        background_threads=threads,
+        num_channels=_ints(args.channels, [1])[0],
+        background_threads=_ints(args.threads, [1])[0],
     )
     results = run_serve_pair(config)
     rendered = render_serve(results)
     print(rendered)
-    if args.json:
-        os.makedirs(args.json, exist_ok=True)
-        path = os.path.join(args.json, "serve.json")
-        write_serve_json(
-            path,
-            results,
-            meta={
-                "target": "serve",
-                "store": store,
-                "scale": scale,
-                "seed": seed,
-                "shards": config.num_shards,
-                "tenants": config.num_tenants,
-                "arrival_rate": config.arrival_rate,
-                "duration_s": config.duration_s,
-                "window_ms": args.window_ms,
-                "mode": config.mode,
-            },
-        )
-        timeline = os.path.join(args.json, "serve-timeline.txt")
-        with open(timeline, "w") as fh:
-            fh.write(rendered + "\n")
-        print(f"\nwrote {path} and {timeline}")
-    return 0
+    meta = {
+        "target": "serve",
+        "store": config.store,
+        "scale": config.scale,
+        "seed": config.seed,
+        "shards": config.num_shards,
+        "tenants": config.num_tenants,
+        "arrival_rate": config.arrival_rate,
+        "duration_s": config.duration_s,
+        "window_ms": config.window_ms,
+        "mode": config.mode,
+    }
+    return 0, {
+        "serve.json": serve_document(results, meta),
+        "serve-timeline.txt": rendered + "\n",
+    }
 
 
-def _run_amplification(args) -> int:
+def _run_amplification(args) -> Outcome:
     """The ``amplification`` target: noblsm vs noblsm-kv WA/RA/SA sweep."""
     from repro.bench.amplification import (
         DEFAULT_SCALE,
@@ -512,129 +434,65 @@ def _run_amplification(args) -> int:
     )
 
     stores = args.stores.split(",") if args.stores else list(DEFAULT_STORES)
-    value_sizes = (
-        [int(v) for v in args.value_sizes.split(",")]
-        if args.value_sizes
-        else list(DEFAULT_VALUE_SIZES)
-    )
+    value_sizes = _ints(args.value_sizes, DEFAULT_VALUE_SIZES)
     scale = args.scale or DEFAULT_SCALE
-    threshold = (
-        args.value_threshold
-        if args.value_threshold is not None
-        else DEFAULT_VALUE_THRESHOLD
-    )
-    seed = args.seed if args.seed else 1234
+    threshold = _or(args.value_threshold, DEFAULT_VALUE_THRESHOLD)
+    seed = _or(args.seed, 1234)
     rows = run_amplification_sweep(
         stores=stores,
         value_sizes=value_sizes,
         scale=scale,
-        num_ops=args.num if args.num != 240 else 0,
+        num_ops=_or(args.num, 0),
         value_threshold=threshold,
         seed=seed,
     )
     print(render_amplification(rows))
-    if args.json:
-        os.makedirs(args.json, exist_ok=True)
-        path = os.path.join(args.json, "amplification.json")
-        doc = amplification_document(
-            rows,
-            meta={
-                "target": "amplification",
-                "stores": stores,
-                "value_sizes": value_sizes,
-                "scale": scale,
-                "value_threshold": threshold,
-                "seed": seed,
-            },
-        )
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\nwrote {path}")
-    return 0
+    meta = {
+        "target": "amplification",
+        "stores": stores,
+        "value_sizes": value_sizes,
+        "scale": scale,
+        "value_threshold": threshold,
+        "seed": seed,
+    }
+    return 0, {"amplification.json": amplification_document(rows, meta)}
 
 
-def _run_slo(args) -> int:
-    """The ``slo`` target: telemetry-on pair, dashboard, alert gate."""
-    from repro.bench.slo import (
-        SloConfig,
-        check_discrimination,
-        render_slo,
-        run_slo,
-        write_slo_json,
-        write_timeseries_json,
-    )
-    from repro.bench.soak import SoakConfig
-    from repro.serve.bench import ServeConfig
+def _run_slo(args) -> Outcome:
+    """The ``slo`` target: telemetry-on serve pair + dashboard."""
+    from repro.bench.slo import SloConfig, render_slo, run_slo, slo_document
 
-    store = args.stores.split(",")[0] if args.stores else "noblsm"
-    scale = args.scale or 2000.0
-    seed = args.seed if args.seed else 1234
     config = SloConfig(
-        scenario=args.scenario,
         interval_ms=args.interval_ms,
         latency_threshold_us=args.latency_slo_us,
-        serve=ServeConfig(
-            store=store,
-            num_shards=args.shards,
-            num_tenants=args.tenants,
-            scale=scale,
-            seed=seed,
-            arrival_rate=args.rate if args.rate is not None else 90_000.0,
-            duration_s=args.duration if args.duration is not None else 0.3,
-            window_ms=args.window_ms,
-            diurnal_amplitude=args.amplitude,
-            spread=args.spread,
-            max_queue=args.max_queue,
-        ),
-        soak=SoakConfig(
-            store=store,
-            scale=scale,
-            seed=seed,
-            arrival_rate=args.rate if args.rate is not None else 40_000.0,
-            duration_s=args.duration if args.duration is not None else 0.75,
-            window_ms=args.window_ms,
-        ),
+        serve=_serve_config(args),
     )
     results = run_slo(config)
     rendered = render_slo(results)
     print(rendered)
     meta = {
         "target": "slo",
-        "scenario": config.scenario,
-        "store": store,
-        "scale": scale,
-        "seed": seed,
+        "scenario": "serve",
+        "store": config.serve.store,
+        "scale": config.serve.scale,
+        "seed": config.serve.seed,
         "interval_ms": args.interval_ms,
         "latency_slo_us": args.latency_slo_us,
         "window_ms": args.window_ms,
     }
-    if args.json:
-        os.makedirs(args.json, exist_ok=True)
-        path = os.path.join(args.json, "slo.json")
-        write_slo_json(path, results, meta)
-        written = [path]
-        for result in results:
-            ts_path = os.path.join(
-                args.json, f"timeseries-{result.workload}.json"
+    docs: Dict[str, object] = {"slo.json": slo_document(results, meta)}
+    for result in results:
+        docs[f"timeseries-{result.workload}.json"] = (
+            result.telemetry.sampler.document(
+                dict(meta, workload=result.workload)
             )
-            write_timeseries_json(
-                ts_path, result, dict(meta, workload=result.workload)
-            )
-            written.append(ts_path)
-        dashboard = os.path.join(args.json, "slo-dashboard.txt")
-        with open(dashboard, "w") as fh:
-            fh.write(rendered + "\n")
-        written.append(dashboard)
-        print(f"\nwrote {', '.join(written)}")
-    if args.gate:
-        problems = check_discrimination(results)
-        return 0 if not problems else 1
-    return 0
+        )
+    docs["slo-dashboard.txt"] = rendered + "\n"
+    return 0, docs
 
 
-def _run_compare(args) -> int:
-    """The ``compare`` target: perf gate over two repro.bench/1 files."""
+def _run_compare(args) -> Outcome:
+    """The ``compare`` target: the regression gate over two documents."""
     from repro.bench.compare import (
         compare_documents,
         parse_thresholds,
@@ -647,7 +505,7 @@ def _run_compare(args) -> int:
             "usage: python -m repro.bench compare BASELINE.json CURRENT.json",
             file=sys.stderr,
         )
-        return 2
+        return 2, {}
     base_path, cur_path = args.paths
     with open(base_path) as fh:
         base_doc = json.load(fh)
@@ -657,14 +515,33 @@ def _run_compare(args) -> int:
         base_doc, cur_doc, thresholds=parse_thresholds(args.thresholds)
     )
     print(render_compare(report))
-    if args.json:
-        os.makedirs(args.json, exist_ok=True)
-        path = os.path.join(args.json, "compare.json")
-        with open(path, "w") as fh:
-            json.dump(report_payload(report), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\nwrote {path}")
-    return 0 if report.passed else 1
+    return (0 if report.passed else 1), {"compare.json": report_payload(report)}
+
+
+def _run_figures(args) -> Outcome:
+    """The paper's tables and figures (``all`` or one of them)."""
+    stores = args.stores.split(",") if args.stores else None
+    targets = ALL_TARGETS if args.target == "all" else [args.target]
+    docs: Dict[str, object] = {}
+    for target in targets:
+        print(_render(target, args.scale, stores, chart=args.chart))
+        print()
+        if args.json:
+            docs[f"{target}.json"] = _payload(target, args.scale, stores)
+    return 0, docs
+
+
+_RUNNERS = {
+    "crash-matrix": _run_crash_matrix,
+    "parallelism": _run_parallelism,
+    "fillrandom": _run_fillrandom,
+    "speed": _run_speed,
+    "soak": _run_soak,
+    "serve": _run_serve,
+    "amplification": _run_amplification,
+    "slo": _run_slo,
+    "compare": _run_compare,
+}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -674,14 +551,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "target",
-        choices=ALL_TARGETS
-        + ["all", "crash-matrix", "parallelism", "fillrandom", "speed",
-           "soak", "serve", "amplification", "slo", "compare"],
+        choices=ALL_TARGETS + ["all", "gate"] + list(_RUNNERS),
     )
     parser.add_argument(
         "paths",
         nargs="*",
-        help="compare: BASELINE.json CURRENT.json",
+        help="compare: BASELINE.json CURRENT.json; gate: NAME",
     )
     parser.add_argument(
         "--scale",
@@ -693,7 +568,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--stores",
         type=str,
         default=None,
-        help="comma-separated store subset (default: the paper's seven)",
+        help="comma-separated store subset for the figures and "
+             "amplification (default: each target's own set); "
+             + ", ".join(SINGLE_STORE)
+             + " take exactly one store (default noblsm)",
     )
     parser.add_argument(
         "--chart",
@@ -704,8 +582,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--json",
         metavar="DIR",
         default=None,
-        help="also write <DIR>/<target>.json machine-readable payloads "
-             "(reruns each target)",
+        help="also write the target's documents into DIR (figures rerun "
+             "each target); required by gate",
     )
     parser.add_argument(
         "--points",
@@ -716,14 +594,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--seed",
         type=int,
-        default=0,
-        help="crash-matrix: workload / point-selection seed (default 0)",
+        default=None,
+        help="workload seed (default 0 for crash-matrix, 1234 otherwise)",
     )
     parser.add_argument(
         "--num",
         type=int,
-        default=240,
-        help="crash-matrix: operations per workload (default 240)",
+        default=None,
+        help="operations per workload (default 240 for crash-matrix; "
+             "otherwise the target's scaled count)",
     )
     parser.add_argument(
         "--modes",
@@ -742,14 +621,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=str,
         default=None,
         help="parallelism: comma-separated device channel counts "
-             "(default 1,4)",
+             "(default 1,4); other single-store targets: one count "
+             "(default 1)",
     )
     parser.add_argument(
         "--threads",
         type=str,
         default=None,
         help="parallelism: comma-separated background thread counts "
-             "(default 1,2)",
+             "(default 1,2); other single-store targets: one count "
+             "(default 1)",
     )
     parser.add_argument(
         "--observe",
@@ -779,33 +660,34 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--rate",
         type=float,
         default=None,
-        help="soak/serve: open-loop arrival rate, ops per virtual second "
-             "(default 40000 soak, 90000 serve)",
+        help="soak/serve/slo: open-loop arrival rate, ops per virtual "
+             "second (default 40000 soak, 90000 serve and slo)",
     )
     parser.add_argument(
         "--duration",
         type=float,
         default=None,
-        help="soak/serve: horizon in virtual seconds "
-             "(default 0.75 soak, 0.3 serve)",
+        help="soak/serve/slo: horizon in virtual seconds "
+             "(default 0.75 soak, 0.3 serve and slo)",
     )
     parser.add_argument(
         "--window-ms",
         type=float,
         default=25.0,
-        help="soak: percentile window width in virtual ms (default 25)",
+        help="soak/serve/slo: percentile window width in virtual ms "
+             "(default 25)",
     )
     parser.add_argument(
         "--shards",
         type=int,
         default=4,
-        help="serve: independent store shards (default 4)",
+        help="serve/slo: independent store shards (default 4)",
     )
     parser.add_argument(
         "--tenants",
         type=int,
         default=6,
-        help="serve: tenants sharing the cluster (default 6)",
+        help="serve/slo: tenants sharing the cluster (default 6)",
     )
     parser.add_argument(
         "--mode",
@@ -818,21 +700,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--max-queue",
         type=int,
         default=32,
-        help="serve: per-shard admission queue bound, 0 disables "
+        help="serve/slo: per-shard admission queue bound, 0 disables "
              "admission control (default 32)",
     )
     parser.add_argument(
         "--spread",
         type=int,
         default=1,
-        help="serve: shards per tenant home group; 1 = tenant-affine "
+        help="serve/slo: shards per tenant home group; 1 = tenant-affine "
              "placement (default 1)",
     )
     parser.add_argument(
         "--amplitude",
         type=float,
         default=0.4,
-        help="serve: diurnal rate modulation depth in [0, 1) "
+        help="serve/slo: diurnal rate modulation depth in [0, 1) "
              "(default 0.4)",
     )
     parser.add_argument(
@@ -850,13 +732,6 @@ def main(argv: Optional[List[str]] = None) -> int:
              "to *-kv stores only (default 1024)",
     )
     parser.add_argument(
-        "--scenario",
-        choices=["serve", "soak"],
-        default="serve",
-        help="slo: which benchmark pair to fly the recorder on "
-             "(default serve)",
-    )
-    parser.add_argument(
         "--interval-ms",
         type=float,
         default=5.0,
@@ -871,12 +746,6 @@ def main(argv: Optional[List[str]] = None) -> int:
              "(default 100)",
     )
     parser.add_argument(
-        "--gate",
-        action="store_true",
-        help="slo: exit non-zero unless the untuned run fires a "
-             "fast-burn alert and the tuned run fires none",
-    )
-    parser.add_argument(
         "--thresholds",
         type=str,
         default=None,
@@ -884,40 +753,23 @@ def main(argv: Optional[List[str]] = None) -> int:
              "us_per_op=0.1,stall_ns=0.5",
     )
     args = parser.parse_args(argv)
-    if args.target == "crash-matrix":
-        return _run_crash_matrix(args)
-    if args.target == "parallelism":
-        return _run_parallelism(args)
-    if args.target == "fillrandom":
-        return _run_fillrandom(args)
-    if args.target == "speed":
-        return _run_speed(args)
-    if args.target == "soak":
-        return _run_soak(args)
-    if args.target == "serve":
-        return _run_serve(args)
-    if args.target == "amplification":
-        return _run_amplification(args)
-    if args.target == "slo":
-        return _run_slo(args)
-    if args.target == "compare":
-        return _run_compare(args)
-    stores = args.stores.split(",") if args.stores else None
-    targets = ALL_TARGETS if args.target == "all" else [args.target]
-    for target in targets:
-        print(_render(target, args.scale, stores, chart=args.chart))
-        print()
-        if args.json:
-            os.makedirs(args.json, exist_ok=True)
-            path = os.path.join(args.json, f"{target}.json")
-            with open(path, "w") as fh:
-                json.dump(
-                    _payload(target, args.scale, stores),
-                    fh, indent=2, sort_keys=True,
-                )
-                fh.write("\n")
-            print(f"wrote {path}\n")
-    return 0
+    if args.target in SINGLE_STORE and args.stores and "," in args.stores:
+        parser.error(
+            f"{args.target} runs one store, got --stores {args.stores}"
+        )
+    if args.target == "gate":
+        from repro.bench.gates import run_gate
+
+        if len(args.paths) != 1 or not args.json:
+            parser.error("usage: gate NAME --json DIR")
+        return run_gate(args.paths[0], args.json)
+    status, docs = _RUNNERS.get(args.target, _run_figures)(args)
+    if args.json and docs:
+        paths = [os.path.join(args.json, name) for name in docs]
+        for path, doc in zip(paths, docs.values()):
+            write_document(path, doc)
+        print(f"\nwrote {', '.join(paths)}")
+    return status
 
 
 if __name__ == "__main__":

@@ -14,7 +14,8 @@ regressions too — a silently dropped benchmark must fail the gate.
 
 The simulation is deterministic, so identical code produces *identical*
 numbers and the thresholds only have to absorb deliberate behaviour
-changes; ``make refresh-baselines`` re-records them when a change is
+changes; ``python -m repro.bench.cli gate NAME --json benchmarks/baselines``
+(``make refresh-NAME-baseline``) re-records them when a change is
 intentional.
 """
 
@@ -133,6 +134,16 @@ SLO_METRICS: Tuple[MetricSpec, ...] = (
     MetricSpec("max_burn", 0.25, 1.0),
 )
 
+#: the metric set each document schema is gated on
+METRICS_BY_SCHEMA: Dict[str, Tuple[MetricSpec, ...]] = {
+    SCHEMA: DEFAULT_METRICS,
+    SPEED_SCHEMA: SPEED_METRICS,
+    SOAK_SCHEMA: SOAK_METRICS,
+    SERVE_SCHEMA: SERVE_METRICS,
+    AMPLIFICATION_SCHEMA: AMPLIFICATION_METRICS,
+    SLO_SCHEMA: SLO_METRICS,
+}
+
 #: row-identity fields; extras are included when present
 _KEY_FIELDS = ("store", "workload", "value_size", "ops")
 _KEY_EXTRAS = ("num_channels", "background_threads")
@@ -217,18 +228,10 @@ def parse_thresholds(spec: Optional[str]) -> Optional[Dict[str, float]]:
 
 def _check_schema(doc: Dict[str, object], which: str) -> str:
     schema = doc.get("schema") if isinstance(doc, dict) else None
-    known = (
-        SCHEMA,
-        SPEED_SCHEMA,
-        SOAK_SCHEMA,
-        SERVE_SCHEMA,
-        AMPLIFICATION_SCHEMA,
-        SLO_SCHEMA,
-    )
-    if schema not in known:
+    if schema not in METRICS_BY_SCHEMA:
         raise ValueError(
             f"{which} document is not one of "
-            f"{', '.join(repr(s) for s in known)} "
+            f"{', '.join(repr(s) for s in METRICS_BY_SCHEMA)} "
             f"(schema={schema if isinstance(doc, dict) else doc!r})"
         )
     if not isinstance(doc.get("results"), list):
@@ -243,9 +246,8 @@ def compare_documents(
 ) -> CompareReport:
     """Compare current against baseline; thresholds override by name.
 
-    Both documents must share a schema; ``repro.bench/1`` gates the
-    lower-is-better virtual-time metrics, ``repro.speed/1`` gates
-    wall-clock throughput (higher-is-better).
+    Both documents must share a schema, which picks the metric set
+    from :data:`METRICS_BY_SCHEMA`.
     """
     base_schema = _check_schema(base_doc, "baseline")
     cur_schema = _check_schema(cur_doc, "current")
@@ -254,18 +256,6 @@ def compare_documents(
             f"schema mismatch: baseline is {base_schema!r}, "
             f"current is {cur_schema!r}"
         )
-    if base_schema == SPEED_SCHEMA:
-        metric_set = SPEED_METRICS
-    elif base_schema == SOAK_SCHEMA:
-        metric_set = SOAK_METRICS
-    elif base_schema == SERVE_SCHEMA:
-        metric_set = SERVE_METRICS
-    elif base_schema == AMPLIFICATION_SCHEMA:
-        metric_set = AMPLIFICATION_METRICS
-    elif base_schema == SLO_SCHEMA:
-        metric_set = SLO_METRICS
-    else:
-        metric_set = DEFAULT_METRICS
     metrics = [
         MetricSpec(
             m.name,
@@ -273,7 +263,7 @@ def compare_documents(
             m.floor,
             m.higher_is_better,
         )
-        for m in metric_set
+        for m in METRICS_BY_SCHEMA[base_schema]
     ]
     base_rows = {row_key(r): r for r in base_doc["results"]}
     cur_rows = {row_key(r): r for r in cur_doc["results"]}

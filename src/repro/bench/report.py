@@ -12,9 +12,9 @@ Two consumers, two formats:
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Dict, List, Optional, Sequence
+
+from repro.obs.export import write_document
 
 RESULTS_SCHEMA = "repro.bench/1"
 
@@ -141,10 +141,5 @@ def write_results_json(
 ) -> Dict[str, object]:
     """Write ``results_document`` to ``path``; returns the document."""
     doc = results_document(results, meta)
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_document(path, doc)
     return doc

@@ -1,7 +1,7 @@
-"""The flight recorder: continuous telemetry + SLO gate over serve/soak.
+"""The flight recorder: continuous telemetry + SLO gate over serve.
 
 This is the bench-side harness for :mod:`repro.obs.timeseries` and
-:mod:`repro.obs.slo`: run the serving pair (or the soak pair) with a
+:mod:`repro.obs.slo`: run the serving pair with a
 :class:`Telemetry` rig attached, sample every health signal the stack
 exposes at a fixed virtual interval, evaluate latency and availability
 SLOs with fast/slow burn-rate alerting, render an ASCII flight-recorder
@@ -23,13 +23,10 @@ apart is decoration, not observability.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.bench.ascii_plot import sparkline
-from repro.bench.soak import SoakConfig, run_soak, tuned_variant
 from repro.lsm.db import PRESSURE_CODES
 from repro.obs.metrics import MetricRegistry
 from repro.obs.slo import (
@@ -49,15 +46,14 @@ from repro.sim.events import EventQueue
 SLO_SCHEMA = "repro.slo/1"
 
 #: workload names of the variant expected to breach / to hold
-_UNTUNED = ("serve", "soak")
-_TUNED = ("serve-fair", "soak-tuned")
+_UNTUNED = "serve"
+_TUNED = "serve-fair"
 
 
 @dataclass
 class SloConfig:
-    """One flight-recorder run: scenario + sampling + objectives."""
+    """One flight-recorder run: sampling + objectives."""
 
-    scenario: str = "serve"  # "serve" | "soak"
     interval_ms: float = 5.0
     capacity: int = 4096
     #: latency objective: ``latency_target`` of requests complete within
@@ -70,10 +66,9 @@ class SloConfig:
     #: exactly this burst.
     latency_target: float = 0.9995
     latency_threshold_us: float = 100.0
-    #: availability objective (serve only): fraction of requests not shed
+    #: availability objective: fraction of requests not shed
     availability_target: float = 0.9995
     serve: ServeConfig = field(default_factory=ServeConfig)
-    soak: SoakConfig = field(default_factory=SoakConfig)
 
     @property
     def interval_ns(self) -> int:
@@ -85,8 +80,6 @@ class SloConfig:
 
     @property
     def horizon_ns(self) -> int:
-        if self.scenario == "soak":
-            return self.soak.horizon_ns
         return max(int(self.serve.duration_s * 1e9), 1)
 
 
@@ -94,10 +87,10 @@ class Telemetry:
     """One run's continuous-telemetry rig.
 
     Owns the sampling timeline (clock + event queue), the cluster-level
-    registry (for serve), the sampler, and the SLO monitors. The bench
-    loop drives :meth:`advance` to each arrival and :meth:`finish` at
-    the horizon; the serve/soak runners call :meth:`on_cluster` /
-    :meth:`on_stack` once their components exist so probes can bind.
+    registry, the sampler, and the SLO monitors. The bench loop drives
+    :meth:`advance` to each arrival and :meth:`finish` at the horizon;
+    the serve runner calls :meth:`on_cluster` once the cluster exists so
+    probes can bind.
     """
 
     def __init__(self, config: SloConfig) -> None:
@@ -155,7 +148,7 @@ class Telemetry:
             sampler.add_probe(f"{name}.vlog_garbage", garbage_ratio)
 
     def on_cluster(self, cluster) -> None:
-        """Wire the serve scenario: front-door SLOs + per-shard probes."""
+        """Wire the cluster: front-door SLOs + per-shard probes."""
         self._start(self.registry)
         config = self.config
         rules = default_burn_rules(config.horizon_ns)
@@ -192,28 +185,6 @@ class Telemetry:
             )
             self._add_store_probes(name, shard.db, shard.stack)
 
-    def on_stack(self, stack, db) -> None:
-        """Wire the soak scenario: the stack's own registry + one store."""
-        self._start(stack.obs)
-        config = self.config
-        rules = default_burn_rules(config.horizon_ns)
-        latency = stack.obs.windowed_histogram(
-            "soak.put_ns", config.soak.window_ns
-        )
-        self._add_monitor(
-            SLOMonitor(
-                SLOSpec(
-                    "latency",
-                    LATENCY,
-                    config.latency_target,
-                    config.latency_threshold_ns,
-                ),
-                LatencyThresholdSource(latency, config.latency_threshold_ns),
-                rules,
-            )
-        )
-        self._add_store_probes("db", db, stack)
-
     # ------------------------------------------------------------------
     # driven by the bench loop
     # ------------------------------------------------------------------
@@ -233,7 +204,7 @@ class SloRunResult:
 
     row: Dict[str, object]
     telemetry: Telemetry
-    base: object  # the underlying ServeResult / SoakResult
+    base: object  # the underlying ServeResult
 
     @property
     def workload(self) -> str:
@@ -241,7 +212,7 @@ class SloRunResult:
 
 
 def _slo_row(
-    scenario: str, base, telemetry: Telemetry, config: SloConfig
+    base, telemetry: Telemetry, config: SloConfig
 ) -> Dict[str, object]:
     """The gate row: base identity + alert/budget summary (flat metrics)."""
     monitors = telemetry.monitors
@@ -253,7 +224,7 @@ def _slo_row(
         "workload": base.workload,
         "ops": base.num_ops,
         "value_size": base.value_size,
-        "scenario": scenario,
+        "scenario": "serve",  # the recorder flies the serve pair only
         "interval_ns": config.interval_ns,
         "horizon_ns": config.horizon_ns,
         "samples": telemetry.sampler.samples,
@@ -271,36 +242,21 @@ def _slo_row(
 
 
 def run_slo(config: SloConfig) -> List[SloRunResult]:
-    """Run the scenario pair (untuned, tuned) with telemetry attached."""
-    if config.scenario == "serve":
-        untuned = replace(
-            config.serve,
-            compaction_rate_bytes_per_sec=0,
-            compaction_rate_burst_bytes=0,
-            compaction_rate_fair=False,
-            dynamic_slowdown=False,
-        )
-        variants = [untuned, fair_variant(config.serve)]
-        runner = run_serve
-    elif config.scenario == "soak":
-        untuned = replace(
-            config.soak,
-            compaction_rate_bytes_per_sec=0,
-            compaction_rate_burst_bytes=0,
-            compaction_rate_fair=False,
-            dynamic_slowdown=False,
-        )
-        variants = [untuned, tuned_variant(config.soak)]
-        runner = run_soak
-    else:
-        raise ValueError(f"unknown scenario {config.scenario!r}")
+    """Run the serve pair (untuned, fair) with telemetry attached."""
+    untuned = replace(
+        config.serve,
+        compaction_rate_bytes_per_sec=0,
+        compaction_rate_burst_bytes=0,
+        compaction_rate_fair=False,
+        dynamic_slowdown=False,
+    )
     results = []
-    for variant in variants:
+    for variant in (untuned, fair_variant(config.serve)):
         telemetry = Telemetry(config)
-        base = runner(variant, telemetry=telemetry)
+        base = run_serve(variant, telemetry=telemetry)
         results.append(
             SloRunResult(
-                row=_slo_row(config.scenario, base, telemetry, config),
+                row=_slo_row(base, telemetry, config),
                 telemetry=telemetry,
                 base=base,
             )
@@ -313,21 +269,21 @@ def run_slo(config: SloConfig) -> List[SloRunResult]:
 # ----------------------------------------------------------------------
 
 
-def check_discrimination(results: Sequence[SloRunResult]) -> List[str]:
+def check_discrimination(rows: Sequence[Dict[str, object]]) -> List[str]:
     """The alerting layer's reason to exist, as gate failures.
 
-    Untuned variants must fire >= 1 fast-burn alert; tuned variants must
-    fire none at all. Returns human-readable problems (empty = pass).
+    ``rows`` are ``repro.slo/1`` result rows. The untuned variant must
+    fire >= 1 fast-burn alert; the tuned variant must fire none at all.
+    Returns human-readable problems (empty = pass).
     """
     problems = []
-    for result in results:
-        row = result.row
-        if row["workload"] in _UNTUNED and row["fast_burn_alerts"] < 1:
+    for row in rows:
+        if row["workload"] == _UNTUNED and row["fast_burn_alerts"] < 1:
             problems.append(
                 f"{row['workload']}: expected >= 1 fast-burn alert, got 0 "
                 "(the untuned run should breach its SLOs)"
             )
-        if row["workload"] in _TUNED and row["alerts_total"] > 0:
+        if row["workload"] == _TUNED and row["alerts_total"] > 0:
             problems.append(
                 f"{row['workload']}: expected 0 alerts, got "
                 f"{row['alerts_total']} (the tuned run should hold its SLOs)"
@@ -345,37 +301,6 @@ def slo_document(
         "meta": dict(meta) if meta else {},
         "results": [dict(r.row) for r in results],
     }
-
-
-def write_slo_json(
-    path: str,
-    results: Sequence[SloRunResult],
-    meta: Optional[Dict[str, object]] = None,
-) -> Dict[str, object]:
-    doc = slo_document(results, meta)
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return doc
-
-
-def write_timeseries_json(
-    path: str,
-    result: SloRunResult,
-    meta: Optional[Dict[str, object]] = None,
-) -> Dict[str, object]:
-    """One variant's ``repro.timeseries/1`` document to ``path``."""
-    doc = result.telemetry.sampler.document(meta)
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return doc
 
 
 # ----------------------------------------------------------------------
@@ -500,13 +425,13 @@ def render_dashboard(result: SloRunResult, width: int = 60) -> str:
 def render_slo(results: Sequence[SloRunResult], width: int = 60) -> str:
     """Dashboards for every variant plus the discrimination verdict."""
     blocks = [render_dashboard(r, width=width) for r in results]
-    problems = check_discrimination(results)
+    problems = check_discrimination([r.row for r in results])
     if problems:
         blocks.append("\n".join(["alert discrimination: FAIL"] +
                                 [f"  {p}" for p in problems]))
     else:
         fired = sum(r.row["alerts_total"] for r in results
-                    if r.workload in _UNTUNED)
+                    if r.workload == _UNTUNED)
         blocks.append(
             "alert discrimination: PASS — untuned fired "
             f"{fired} alert(s), tuned fired none"

@@ -38,8 +38,6 @@ asserts it strictly improves the spike metrics over stock behaviour.
 
 from __future__ import annotations
 
-import json
-import os
 import random
 import time
 from dataclasses import dataclass, field, replace
@@ -233,17 +231,8 @@ class SoakResult:
         return data
 
 
-def run_soak(config: SoakConfig, telemetry=None) -> SoakResult:
-    """Run one open-loop soak; returns its windowed stability record.
-
-    ``telemetry`` is an optional continuous-telemetry rig (duck-typed;
-    see :class:`repro.bench.slo.Telemetry`): ``on_stack(stack, db)``
-    points its sampler at the soak stack's own registry, and
-    ``advance(at)`` is driven to every arrival (relative to the run
-    start, like the latency windows) so ticks fire deterministically
-    between requests. The rig's clock is its own; the soak's virtual
-    timeline and results are identical with or without it.
-    """
+def run_soak(config: SoakConfig) -> SoakResult:
+    """Run one open-loop soak; returns its windowed stability record."""
     scaled = ScaledConfig(
         scale=config.scale,
         num_ops=config.expected_ops,
@@ -261,8 +250,6 @@ def run_soak(config: SoakConfig, telemetry=None) -> SoakResult:
     options.compaction_rate_fair = config.compaction_rate_fair
     options.dynamic_slowdown = config.dynamic_slowdown
     db = make_store(config.store, stack, "db", options=options)
-    if telemetry is not None:
-        telemetry.on_stack(stack, db)
 
     start = stack.now
     window_ns = config.window_ns
@@ -304,15 +291,11 @@ def run_soak(config: SoakConfig, telemetry=None) -> SoakResult:
         arrival += max(int(rng.expovariate(config.arrival_rate) * NS_PER_SEC), 1)
         if arrival - start >= horizon:
             break
-        if telemetry is not None:
-            telemetry.advance(arrival - start)
         key = make_key(rng.randrange(keyspace), config.key_size)
         done = db.put(key, values.next(), at=arrival)
         latency.record(arrival - start, done - arrival)
         last_done = done
         ops += 1
-    if telemetry is not None:
-        telemetry.finish(horizon)
     wall_seconds = time.perf_counter() - wall_start
     stack.obs.remove_span_listener(on_span)
 
@@ -387,22 +370,6 @@ def soak_document(
         "meta": dict(meta) if meta else {},
         "results": [r.to_dict() for r in results],
     }
-
-
-def write_soak_json(
-    path: str,
-    results: Sequence[SoakResult],
-    meta: Optional[Dict[str, object]] = None,
-) -> Dict[str, object]:
-    """Write ``soak_document`` to ``path``; returns the document."""
-    doc = soak_document(results, meta)
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return doc
 
 
 def _cause_summary(stall_ns: Dict[str, int]) -> str:

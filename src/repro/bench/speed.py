@@ -23,8 +23,6 @@ on the gating machine after a deliberate change.
 
 from __future__ import annotations
 
-import json
-import os
 import platform
 import statistics
 import sys
@@ -157,22 +155,6 @@ def speed_document(
         "meta": merged,
         "results": [r.to_dict() for r in results],
     }
-
-
-def write_speed_json(
-    path: str,
-    results: Sequence[SpeedResult],
-    meta: Optional[Dict[str, object]] = None,
-) -> Dict[str, object]:
-    """Write ``speed_document`` to ``path``; returns the document."""
-    doc = speed_document(results, meta)
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return doc
 
 
 def render_speed(results: Sequence[SpeedResult]) -> str:

@@ -34,6 +34,7 @@ from repro.obs.export import (
     layer_breakdown,
     registry_document,
     to_json,
+    write_document,
     write_json,
 )
 from repro.obs.metrics import (
@@ -78,5 +79,6 @@ __all__ = [
     "to_json",
     "validate_chrome_trace",
     "write_chrome_trace",
+    "write_document",
     "write_json",
 ]

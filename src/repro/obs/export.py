@@ -27,7 +27,8 @@ histograms, and stall time from the store's attributed stall counters.
 from __future__ import annotations
 
 import json
-from typing import Dict, Optional
+import os
+from typing import Dict, Optional, Union
 
 from repro.obs.metrics import MetricRegistry
 
@@ -110,6 +111,23 @@ def to_json(
     return json.dumps(registry_document(registry, meta), indent=indent, sort_keys=True)
 
 
+def write_document(path: str, doc: Union[str, Dict[str, object]]) -> None:
+    """Write one document: JSON (indented, sorted keys) or text as-is.
+
+    The single writer behind every ``--json`` output, so byte-for-byte
+    comparisons between runs never depend on which command wrote a file.
+    """
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    with open(path, "w") as fh:
+        if isinstance(doc, str):
+            fh.write(doc)
+        else:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+
 def write_json(
     path: str,
     registry: MetricRegistry,
@@ -117,7 +135,5 @@ def write_json(
 ) -> Dict[str, object]:
     """Write the export document to ``path``; returns the document."""
     doc = registry_document(registry, meta)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_document(path, doc)
     return doc

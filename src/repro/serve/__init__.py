@@ -30,7 +30,6 @@ from repro.serve.bench import (
     run_serve,
     run_serve_pair,
     serve_document,
-    write_serve_json,
 )
 from repro.serve.cluster import ClusterConfig, ServeCluster, Shard, TenantStats
 from repro.serve.loadgen import (
@@ -58,7 +57,6 @@ __all__ = [
     "run_serve",
     "run_serve_pair",
     "serve_document",
-    "write_serve_json",
     "ClusterConfig",
     "ServeCluster",
     "Shard",

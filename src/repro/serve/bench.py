@@ -25,8 +25,6 @@ serve gate asserts it beats the untuned cluster on worst-tenant p99.9.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
@@ -434,22 +432,6 @@ def serve_document(
         "meta": dict(meta) if meta else {},
         "results": [r.to_dict() for r in results],
     }
-
-
-def write_serve_json(
-    path: str,
-    results: Sequence[ServeResult],
-    meta: Optional[Dict[str, object]] = None,
-) -> Dict[str, object]:
-    """Write ``serve_document`` to ``path``; returns the document."""
-    doc = serve_document(results, meta)
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return doc
 
 
 def render_timeline(result: ServeResult, width: int = 40) -> str:

@@ -1,5 +1,7 @@
 """Unit tests for the amplification analysis (tiny scale)."""
 
+import json
+
 import pytest
 
 from repro.bench.amplification import measure_amplification
@@ -98,6 +100,23 @@ def test_dbbench_cli_runs(capsys):
     out = capsys.readouterr().out
     assert "fillseq" in out
     assert "micros/op" in out
+
+
+def test_dbbench_cli_observed_json_document(tmp_path, capsys):
+    from repro.bench.dbbench_cli import main
+
+    path = tmp_path / "smoke.json"
+    exit_code = main(
+        ["--store", "noblsm", "--benchmarks", "fillrandom,readrandom",
+         "--num", "500", "--scale", "2000", "--observe", "--json", str(path)]
+    )
+    assert exit_code == 0
+    doc = json.loads(path.read_text())
+    assert doc["schema"] == "repro.bench/1"
+    assert doc["results"], "no benchmark rows"
+    for row in doc["results"]:
+        assert row["breakdown_ns"]["device"] >= 0
+        assert "latency_us" in row
 
 
 def test_dbbench_cli_rejects_unknown_benchmark(capsys):

@@ -29,10 +29,8 @@ from repro.bench.slo import (
     render_slo,
     run_slo,
     slo_document,
-    write_slo_json,
-    write_timeseries_json,
 )
-from repro.bench.soak import SoakConfig
+from repro.obs.export import write_document
 from repro.serve.bench import ServeConfig, run_serve
 
 #: the serve-bench SMALL shape: hot enough that the untuned hot shard
@@ -53,7 +51,7 @@ FIRST_FAST_BURN_NS = 54_000_000
 
 
 def small_config():
-    return SloConfig(scenario="serve", interval_ms=2.0, serve=SMALL_SERVE)
+    return SloConfig(interval_ms=2.0, serve=SMALL_SERVE)
 
 
 @pytest.fixture(scope="module")
@@ -88,22 +86,16 @@ def test_fair_twin_fires_nothing(pair):
 
 
 def test_discrimination_check_passes_and_fails_correctly(pair):
-    assert check_discrimination(pair) == []
+    assert check_discrimination([r.row for r in pair]) == []
     # strip the untuned run's alerts -> the recorder failed its job
     muted = copy.deepcopy(pair[0].row)
     muted["fast_burn_alerts"] = 0
-
-    class FakeResult:
-        def __init__(self, row):
-            self.row = row
-            self.workload = row["workload"]
-
-    problems = check_discrimination([FakeResult(muted)])
+    problems = check_discrimination([muted])
     assert len(problems) == 1 and "fast-burn" in problems[0]
     # an alert on the tuned twin is equally a failure
     noisy = copy.deepcopy(pair[1].row)
     noisy["alerts_total"] = 2
-    problems = check_discrimination([FakeResult(noisy)])
+    problems = check_discrimination([noisy])
     assert len(problems) == 1 and "0 alerts" in problems[0]
 
 
@@ -154,7 +146,6 @@ def test_slo_document_shape_and_round_trip(pair):
 def test_documents_are_deterministic():
     """Same config + seed -> byte-identical slo and timeseries exports."""
     tiny = SloConfig(
-        scenario="serve",
         interval_ms=2.0,
         serve=ServeConfig(
             num_shards=2, num_tenants=3, arrival_rate=60_000.0,
@@ -173,10 +164,12 @@ def test_documents_are_deterministic():
 
 def test_write_json_files(tmp_path, pair):
     slo_path = tmp_path / "slo.json"
-    doc = write_slo_json(str(slo_path), pair, {"target": "slo"})
+    doc = slo_document(pair, {"target": "slo"})
+    write_document(str(slo_path), doc)
     assert json.loads(slo_path.read_text()) == doc
     ts_path = tmp_path / "timeseries-serve.json"
-    ts_doc = write_timeseries_json(str(ts_path), pair[0], {"w": "serve"})
+    ts_doc = pair[0].telemetry.sampler.document({"w": "serve"})
+    write_document(str(ts_path), ts_doc)
     on_disk = json.loads(ts_path.read_text())
     assert on_disk == ts_doc
     assert on_disk["schema"] == "repro.timeseries/1"
@@ -223,39 +216,6 @@ def test_report_payload_is_machine_readable(pair):
     flagged = [d for d in payload["deltas"] if d["regressed"]]
     assert flagged and flagged[0]["metric"] == "alerts_total"
     assert json.loads(json.dumps(payload)) == payload
-
-
-def test_soak_scenario_wires_store_probes():
-    config = SloConfig(
-        scenario="soak",
-        interval_ms=2.0,
-        soak=SoakConfig(arrival_rate=40_000.0, duration_s=0.05,
-                        window_ms=10.0),
-    )
-    results = run_slo(config)
-    assert [r.workload for r in results] == ["soak", "soak-tuned"]
-    base, tuned = results
-    series = base.telemetry.sampler.series
-    assert "soak.put_ns.ops" in series
-    assert "db.pressure" in series
-    assert "db.debt_bytes" in series
-    assert "slo.latency.burn" in series
-    # the tuned twin runs with a rate limiter -> its token level appears
-    assert "db.ratelimit_tokens" in tuned.telemetry.sampler.series
-    # attaching telemetry must not change the soak outcome either
-    from repro.bench.soak import run_soak
-
-    plain = run_soak(
-        SoakConfig(arrival_rate=40_000.0, duration_s=0.05, window_ms=10.0)
-    )
-    a, b = plain.to_dict(), base.base.to_dict()
-    a.pop("host", None), b.pop("host", None)
-    assert a == b
-
-
-def test_run_slo_rejects_unknown_scenario():
-    with pytest.raises(ValueError):
-        run_slo(SloConfig(scenario="parade"))
 
 
 def test_telemetry_rig_wires_once():

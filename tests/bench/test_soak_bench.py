@@ -11,6 +11,7 @@ from dataclasses import replace
 import pytest
 
 from repro.bench.compare import SOAK_METRICS, compare_documents
+from repro.obs.export import write_document
 from repro.bench.soak import (
     SOAK_SCHEMA,
     SoakConfig,
@@ -20,7 +21,6 @@ from repro.bench.soak import (
     run_soak_pair,
     soak_document,
     tuned_variant,
-    write_soak_json,
 )
 
 #: small enough for the suite, long enough to reach the spike regime
@@ -109,7 +109,8 @@ def test_soak_document_schema(pair):
 
 def test_write_soak_json_roundtrip(pair, tmp_path):
     path = tmp_path / "soak.json"
-    doc = write_soak_json(str(path), pair)
+    doc = soak_document(pair)
+    write_document(str(path), doc)
     assert json.loads(path.read_text()) == doc
 
 

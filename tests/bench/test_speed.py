@@ -10,12 +10,12 @@ import json
 import pytest
 
 from repro.bench.compare import compare_documents
+from repro.obs.export import write_document
 from repro.bench.speed import (
     SPEED_SCHEMA,
     render_speed,
     run_speed,
     speed_document,
-    write_speed_json,
 )
 
 SMALL = dict(scale=50000.0, repeats=2, warmup=1)
@@ -48,7 +48,8 @@ def test_speed_document_schema(result):
 
 def test_write_speed_json_roundtrip(result, tmp_path):
     path = tmp_path / "speed.json"
-    doc = write_speed_json(str(path), [result])
+    doc = speed_document([result])
+    write_document(str(path), doc)
     assert json.loads(path.read_text()) == doc
 
 

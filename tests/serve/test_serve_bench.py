@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro.bench.compare import SERVE_METRICS, compare_documents
+from repro.obs.export import write_document
 from repro.serve.bench import (
     SERVE_SCHEMA,
     ServeConfig,
@@ -23,7 +24,6 @@ from repro.serve.bench import (
     run_serve,
     run_serve_pair,
     serve_document,
-    write_serve_json,
 )
 
 #: hot enough that the untuned hot shard queues *and* sheds, small
@@ -169,7 +169,8 @@ def test_compare_gate_accepts_and_gates_serve_documents(pair):
 
 def test_write_serve_json_round_trip(tmp_path, pair):
     path = tmp_path / "serve.json"
-    doc = write_serve_json(str(path), pair, meta={"rate": 90_000})
+    doc = serve_document(pair, meta={"rate": 90_000})
+    write_document(str(path), doc)
     on_disk = json.loads(path.read_text())
     assert on_disk == json.loads(json.dumps(doc))
     assert on_disk["schema"] == SERVE_SCHEMA

@@ -13,16 +13,17 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench.gates import GATES
+
 REPO = Path(__file__).resolve().parent.parent
 MAKEFILE = REPO / "Makefile"
 
-GATE_TARGETS = [
-    "perf-gate",
-    "speed-gate",
-    "soak-gate",
-    "serve-gate",
-    "amplification-gate",
-    "slo-gate",
+#: every gate-table entry's make target, plus the perf-gate aggregate
+GATE_TARGETS = ["perf-gate"] + [f"{name}-gate" for name in GATES]
+
+#: every entry's baseline refresh, plus the perf-gate aggregate
+REFRESH_TARGETS = ["refresh-baselines"] + [
+    f"refresh-{name}-baseline" for name in GATES
 ]
 
 
@@ -75,13 +76,28 @@ def test_pytest_targets_use_pythonpath(target):
 
 
 def test_every_gate_has_a_refresh_partner():
-    """Each *-gate compares against a baseline someone can re-record."""
-    text = MAKEFILE.read_text()
-    for target in GATE_TARGETS:
-        if target == "perf-gate":
-            partner = "refresh-baselines"
-        else:
-            partner = "refresh-" + target.replace("-gate", "") + "-baseline"
-        assert re.search(rf"^{partner}:", text, re.M), (
-            f"{target} has no {partner} target"
-        )
+    """Each *-gate compares against a baseline someone can re-record.
+
+    The refresh target must dry-run, and every python command it
+    expands to must go through RUN, like the gate targets.
+    """
+    for target in REFRESH_TARGETS:
+        python_lines = [
+            line for line in dry_run(target).splitlines() if "python" in line
+        ]
+        assert python_lines, f"{target} expanded to no python invocations"
+        for line in python_lines:
+            assert "PYTHONPATH=src" in line, (
+                f"{target} runs python without PYTHONPATH=src: {line}"
+            )
+
+
+@pytest.mark.parametrize("name", sorted(GATES))
+def test_gate_targets_run_the_table_entry(name):
+    """NAME-gate and refresh-NAME-baseline both run ``cli gate NAME``."""
+    assert f"repro.bench.cli gate {name} --json results/{name}-gate" in (
+        dry_run(f"{name}-gate")
+    )
+    assert f"repro.bench.cli gate {name} --json benchmarks/baselines" in (
+        dry_run(f"refresh-{name}-baseline")
+    )
