@@ -22,14 +22,14 @@ optionally with observability (``--observe``) and causal tracing
 critical-path attribution table). ``speed`` times the *simulator
 itself* — fillrandom run ``--repeats`` times after ``--warmup``
 discarded runs, reported as wall-clock ops/sec (``repro.speed/1``).
-``soak`` runs the long-horizon stability pair — an open-loop Poisson
-workload measured in windowed p50/p99/p99.9, once with stock options
-and once with the rate limiter + dynamic slowdown (``repro.soak/1``).
 ``serve`` runs the sharded multi-tenant serving pair — N store shards
 behind the deterministic router with tenant-affine placement,
 hot-tenant zipf skew, a diurnal open-loop arrival curve and per-shard
 admission control — once untuned and once fair-scheduled
-(``repro.serve/1``). ``amplification`` sweeps write/read/space
+(``repro.serve/1``). ``soak`` is the same pair preset to one shard,
+one tenant, a flat all-put arrival rate and no admission control: the
+long-horizon stability experiment, judged on windowed p99.9 and write
+stalls. ``amplification`` sweeps write/read/space
 amplification over a large-value fillrandom grid, noblsm against the
 key-value-separated noblsm-kv (``repro.amplification/1``). ``slo`` runs
 the serve pair with continuous telemetry and burn-rate SLO alerts
@@ -334,43 +334,6 @@ def _run_speed(args) -> Outcome:
     return 0, {"speed.json": speed_document([result], meta)}
 
 
-def _run_soak(args) -> Outcome:
-    """The ``soak`` target: untuned + tuned stability pair + timeline."""
-    from repro.bench.soak import (
-        SoakConfig,
-        render_soak,
-        run_soak_pair,
-        soak_document,
-    )
-
-    config = SoakConfig(
-        store=_store(args),
-        scale=args.scale or 2000.0,
-        seed=_or(args.seed, 1234),
-        arrival_rate=_or(args.rate, 40_000.0),
-        duration_s=_or(args.duration, 0.75),
-        window_ms=args.window_ms,
-        num_channels=_ints(args.channels, [1])[0],
-        background_threads=_ints(args.threads, [1])[0],
-    )
-    results = run_soak_pair(config)
-    rendered = render_soak(results)
-    print(rendered)
-    meta = {
-        "target": "soak",
-        "store": config.store,
-        "scale": config.scale,
-        "seed": config.seed,
-        "arrival_rate": config.arrival_rate,
-        "duration_s": config.duration_s,
-        "window_ms": config.window_ms,
-    }
-    return 0, {
-        "soak.json": soak_document(results, meta),
-        "soak-timeline.txt": rendered + "\n",
-    }
-
-
 def _serve_config(args, **extra):
     from repro.serve import ServeConfig
 
@@ -391,20 +354,38 @@ def _serve_config(args, **extra):
 
 
 def _run_serve(args) -> Outcome:
-    """The ``serve`` target: untuned + fair cluster pair + timeline."""
-    from repro.serve import render_serve, run_serve_pair, serve_document
+    """The ``serve`` and ``soak`` targets: untuned + fair pair + timeline.
 
-    config = _serve_config(
-        args,
-        mode=args.mode,
+    ``soak`` is serve's one-store preset at its own rate and horizon.
+    """
+    from repro.serve import (
+        render_serve,
+        run_serve_pair,
+        serve_document,
+        soak_config,
+    )
+
+    shape = dict(
         num_channels=_ints(args.channels, [1])[0],
         background_threads=_ints(args.threads, [1])[0],
     )
+    if args.target == "soak":
+        config = soak_config(
+            store=_store(args),
+            scale=args.scale or 2000.0,
+            seed=_or(args.seed, 1234),
+            arrival_rate=_or(args.rate, 40_000.0),
+            duration_s=_or(args.duration, 0.75),
+            window_ms=args.window_ms,
+            **shape,
+        )
+    else:
+        config = _serve_config(args, mode=args.mode, **shape)
     results = run_serve_pair(config)
     rendered = render_serve(results)
     print(rendered)
     meta = {
-        "target": "serve",
+        "target": args.target,
         "store": config.store,
         "scale": config.scale,
         "seed": config.seed,
@@ -416,8 +397,8 @@ def _run_serve(args) -> Outcome:
         "mode": config.mode,
     }
     return 0, {
-        "serve.json": serve_document(results, meta),
-        "serve-timeline.txt": rendered + "\n",
+        f"{args.target}.json": serve_document(results, meta),
+        f"{args.target}-timeline.txt": rendered + "\n",
     }
 
 
@@ -536,7 +517,7 @@ _RUNNERS = {
     "parallelism": _run_parallelism,
     "fillrandom": _run_fillrandom,
     "speed": _run_speed,
-    "soak": _run_soak,
+    "soak": _run_serve,
     "serve": _run_serve,
     "amplification": _run_amplification,
     "slo": _run_slo,

@@ -1,9 +1,12 @@
-"""Diff two ``repro.bench/1`` documents — the CI perf-regression gate.
+"""Diff two gate documents of one schema — the CI regression gate.
 
-:func:`compare_documents` matches result rows between a *baseline* and a
-*current* document by their identity key (store, workload, value size,
-op count, channels, threads) and checks each guarded metric against a
-relative threshold plus an absolute floor::
+Every gated schema (``repro.bench/1``, ``repro.speed/1``,
+``repro.serve/1``, ``repro.amplification/1``, ``repro.slo/1``) has one
+metric set in :data:`METRICS_BY_SCHEMA`. :func:`compare_documents`
+matches result rows between a *baseline* and a *current* document by
+their identity key (store, workload, value size, op count, channels,
+threads) and checks each guarded metric against a relative threshold
+plus an absolute floor::
 
     regressed  iff  current > baseline * (1 + threshold) + floor
 
@@ -26,7 +29,6 @@ from typing import Dict, List, Optional, Tuple
 
 SCHEMA = "repro.bench/1"
 SPEED_SCHEMA = "repro.speed/1"
-SOAK_SCHEMA = "repro.soak/1"
 SERVE_SCHEMA = "repro.serve/1"
 AMPLIFICATION_SCHEMA = "repro.amplification/1"
 SLO_SCHEMA = "repro.slo/1"
@@ -77,35 +79,28 @@ SPEED_METRICS: Tuple[MetricSpec, ...] = (
     MetricSpec("ops_per_sec", 0.50, 0.0, higher_is_better=True),
 )
 
-#: the ``repro.soak/1`` stability gate (all lower-is-better, all
-#: deterministic virtual-time numbers). ``windowed_p999_us`` is the
-#: worst windowed p99.9 — the spike a user actually hits;
-#: ``p999_ratio`` is that spike relative to the median window, the
-#: paper-style stability measure; ``max_stall_ns`` the single longest
-#: write stall; ``blocked_ns`` the unified stall + slowdown total.
-#: Floors absorb near-zero wobble: a tuned run whose worst window is a
-#: few microseconds must not fail the gate over nanosecond noise.
-SOAK_METRICS: Tuple[MetricSpec, ...] = (
-    MetricSpec("windowed_p999_us", 0.25, 50.0),
-    MetricSpec("p999_ratio", 0.25, 0.5),
-    MetricSpec("max_stall_ns", 0.25, 1e6),
-    MetricSpec("blocked_ns", 0.25, 5e6),
-)
-
-#: the ``repro.serve/1`` multi-tenant gate (all lower-is-better,
-#: deterministic virtual-time numbers). ``worst_tenant_p999_us`` is the
-#: serving headline — the tail the worst-off tenant actually gets;
-#: ``fairness_ratio`` (worst/best tenant p99) is the multi-tenant SLA
-#: measure; ``shed`` counts refused requests (a fair cluster should not
-#: start shedding more than its recorded baseline); ``blocked_ns`` sums
-#: writer-not-progressing time over every shard. Floors absorb
-#: near-zero wobble on the tuned variant.
+#: the ``repro.serve/1`` gate, shared by the serve and soak experiments
+#: (all lower-is-better, deterministic virtual-time numbers).
+#: ``worst_tenant_p999_us`` is the serving headline — the tail the
+#: worst-off tenant actually gets; ``fairness_ratio`` (worst/best tenant
+#: p99) is the multi-tenant SLA measure; ``shed`` counts refused
+#: requests (a fair cluster should not start shedding more than its
+#: recorded baseline). ``windowed_p999_us`` is the worst windowed p99.9
+#: — the spike a user actually hits; ``p999_ratio`` is that spike
+#: relative to the median window, the paper-style stability measure;
+#: ``max_stall_ns`` the single longest write stall; ``blocked_ns`` the
+#: unified stall + slowdown total over every shard. Floors absorb
+#: near-zero wobble: a tuned run whose worst window is a few
+#: microseconds must not fail the gate over nanosecond noise.
 SERVE_METRICS: Tuple[MetricSpec, ...] = (
     MetricSpec("worst_tenant_p999_us", 0.25, 50.0),
     MetricSpec("worst_tenant_p99_us", 0.25, 25.0),
     MetricSpec("fairness_ratio", 0.25, 0.5),
     MetricSpec("shed", 0.25, 20.0),
     MetricSpec("blocked_ns", 0.25, 5e6),
+    MetricSpec("windowed_p999_us", 0.25, 50.0),
+    MetricSpec("p999_ratio", 0.25, 0.5),
+    MetricSpec("max_stall_ns", 0.25, 1e6),
 )
 
 #: the ``repro.amplification/1`` gate (all lower-is-better ratios from
@@ -138,7 +133,6 @@ SLO_METRICS: Tuple[MetricSpec, ...] = (
 METRICS_BY_SCHEMA: Dict[str, Tuple[MetricSpec, ...]] = {
     SCHEMA: DEFAULT_METRICS,
     SPEED_SCHEMA: SPEED_METRICS,
-    SOAK_SCHEMA: SOAK_METRICS,
     SERVE_SCHEMA: SERVE_METRICS,
     AMPLIFICATION_SCHEMA: AMPLIFICATION_METRICS,
     SLO_SCHEMA: SLO_METRICS,

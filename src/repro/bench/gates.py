@@ -35,7 +35,6 @@ from repro.bench.compare import (
     SCHEMA as BENCH_SCHEMA,
     SERVE_SCHEMA,
     SLO_SCHEMA,
-    SOAK_SCHEMA,
 )
 from repro.bench.slo import check_discrimination
 
@@ -96,11 +95,11 @@ def parallelism_4x2_speedup(docs: Documents) -> None:
 
 
 def _soak_pair(docs: Documents) -> List[Dict[str, object]]:
-    return _pair(docs, "soak.json", SOAK_SCHEMA, ("soak", "soak-tuned"))
+    return _pair(docs, "soak.json", SERVE_SCHEMA, ("serve", "serve-fair"))
 
 
 def soak_tuned_lowers_p999_ratio(docs: Documents) -> None:
-    """The tuned soak's worst-window spike sits closer to steady state."""
+    """The fair soak's worst-window spike sits closer to steady state."""
     base, tuned = _soak_pair(docs)
     _require(
         tuned["p999_ratio"] < base["p999_ratio"],
@@ -110,7 +109,7 @@ def soak_tuned_lowers_p999_ratio(docs: Documents) -> None:
 
 
 def soak_tuned_lowers_max_stall(docs: Documents) -> None:
-    """The tuned soak's longest write stall is shorter."""
+    """The fair soak's longest write stall is shorter."""
     base, tuned = _soak_pair(docs)
     _require(
         tuned["max_stall_ns"] < base["max_stall_ns"],

@@ -23,7 +23,7 @@ apart is decoration, not observability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.bench.ascii_plot import sparkline
@@ -39,7 +39,12 @@ from repro.obs.slo import (
     default_burn_rules,
 )
 from repro.obs.timeseries import TimeSeriesSampler
-from repro.serve.bench import ServeConfig, fair_variant, run_serve
+from repro.serve.bench import (
+    ServeConfig,
+    fair_variant,
+    run_serve,
+    untuned_variant,
+)
 from repro.sim.clock import VirtualClock
 from repro.sim.events import EventQueue
 
@@ -243,15 +248,8 @@ def _slo_row(
 
 def run_slo(config: SloConfig) -> List[SloRunResult]:
     """Run the serve pair (untuned, fair) with telemetry attached."""
-    untuned = replace(
-        config.serve,
-        compaction_rate_bytes_per_sec=0,
-        compaction_rate_burst_bytes=0,
-        compaction_rate_fair=False,
-        dynamic_slowdown=False,
-    )
     results = []
-    for variant in (untuned, fair_variant(config.serve)):
+    for variant in (untuned_variant(config.serve), fair_variant(config.serve)):
         telemetry = Telemetry(config)
         base = run_serve(variant, telemetry=telemetry)
         results.append(

@@ -130,7 +130,7 @@ class LazyExecutor:
 
         Distinct from ``stall_ns`` (queueing behind busy threads): this
         is time the *scheduler chose* to defer work to shape compaction
-        bandwidth; the executor keeps both so the soak report can tell
+        bandwidth; the executor keeps both so a report can tell
         "not enough threads" apart from "bandwidth budget".
         """
         self.throttle_ns += int(ns)

@@ -133,7 +133,7 @@ class DBStats:
     separate in ``slowdown_ns`` — LevelDB itself distinguishes the two.
     Consumers that want "time the writer was not making progress" must
     use the unified :attr:`blocked_ns` total (= stall + slowdown); the
-    soak harness and the compare gate do.
+    serve bench (soak included) and the compare gate do.
 
     ``l0_stop_abandoned`` counts the times a writer blocked on the L0
     stop trigger was released with L0 *still* at/above the trigger

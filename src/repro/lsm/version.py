@@ -382,18 +382,10 @@ class VersionSet:
             edits.append(VersionEdit.decode(payload))
             offset += 8 + length
 
-        # A file deleted by some later edit was *consumed* by a further
-        # compaction; NobLSM only deletes consumed files after their
-        # successors committed, so absence from disk is expected and not
-        # a sign of a lost compaction.
-        deleted_later: "set[int]" = set()
-        for edit in edits:
-            deleted_later.update(number for _, number in edit.deleted_files)
-
         # Second pass: apply, rolling back edits whose outputs were lost.
+        invalid = self._invalid_edits(edits)
         version = Version(self.options.num_levels)
-        invalid_numbers: "set[int]" = set()
-        for edit in edits:
+        for index, edit in enumerate(edits):
             # scalar metadata is always safe to absorb
             if edit.log_number is not None:
                 self.log_number = edit.log_number
@@ -403,14 +395,11 @@ class VersionSet:
                 self.last_sequence = edit.last_sequence
             for level, key in edit.compact_pointers:
                 self.compact_pointer[level] = key
-            if self._edit_invalid(edit, invalid_numbers, deleted_later):
+            if index in invalid:
                 # This compaction's outputs did not survive the crash (or
                 # it consumed outputs that didn't): skip it, keeping its
                 # inputs live — they were retained on disk exactly for
                 # this fallback (NobLSM Section 4.4).
-                invalid_numbers.update(
-                    meta.number for _, meta in edit.new_files
-                )
                 self.skipped_edits += 1
                 continue
             version = self._apply(version, edit)
@@ -427,13 +416,8 @@ class VersionSet:
         t = self.create_manifest(t)
         return t
 
-    def _edit_invalid(
-        self,
-        edit: VersionEdit,
-        invalid_numbers: "set[int]",
-        deleted_later: "set[int]",
-    ) -> bool:
-        """True when a recovered edit must be rolled back.
+    def _invalid_edits(self, edits: List[VersionEdit]) -> "set[int]":
+        """Indices of the recovered edits that must be rolled back.
 
         An edit is invalid if any SSTable it adds fails validation (and
         was not legitimately consumed by a later edit), or — cascading —
@@ -441,16 +425,42 @@ class VersionSet:
         outputs were derived from data that never became durable, and
         applying it would let the restored inputs of the earlier edit
         shadow newer versions.
+
+        A file deleted by a later edit was *consumed* by a further
+        compaction; NobLSM only deletes consumed files after their
+        successors committed, so its absence from disk is expected —
+        but only if that consuming edit is itself applied. Rolling an
+        edit back voids its deletions, which can expose a never-durable
+        file it consumed, so the rollback iterates to a fixed point.
         """
+        invalid: "set[int]" = set()
         if self.validate_new_file is None:
-            return False
-        if any(number in invalid_numbers for _, number in edit.deleted_files):
-            return True
-        return any(
-            meta.number not in deleted_later
-            and not self.validate_new_file(meta)
-            for _, meta in edit.new_files
-        )
+            return invalid
+        while True:
+            deleted_later = {
+                number
+                for index, edit in enumerate(edits)
+                if index not in invalid
+                for _, number in edit.deleted_files
+            }
+            found: "set[int]" = set()
+            invalid_numbers: "set[int]" = set()
+            for index, edit in enumerate(edits):
+                if any(
+                    number in invalid_numbers
+                    for _, number in edit.deleted_files
+                ) or any(
+                    meta.number not in deleted_later
+                    and not self.validate_new_file(meta)
+                    for _, meta in edit.new_files
+                ):
+                    found.add(index)
+                    invalid_numbers.update(
+                        meta.number for _, meta in edit.new_files
+                    )
+            if found == invalid:
+                return invalid
+            invalid = found
 
     def level_score(self, level: int) -> float:
         """LevelDB's compaction score (>= 1.0 means 'needs compaction')."""

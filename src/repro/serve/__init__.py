@@ -9,8 +9,10 @@ key namespaces, per-shard
 by the store's live :meth:`~repro.lsm.db.DB.write_pressure`, and the
 :mod:`~repro.serve.loadgen` open/closed-loop multi-tenant load
 generator. :mod:`~repro.serve.bench` measures it all — per-tenant and
-per-shard p50/p99/p99.9, the fairness ratio, and admission counts — in
-the versioned ``repro.serve/1`` document gated in CI.
+per-shard p50/p99/p99.9, the fairness ratio, admission counts, and
+windowed tails with per-cause write stalls — in the versioned
+``repro.serve/1`` document gated in CI; its one-shard preset
+(:func:`~repro.serve.bench.soak_config`) is the soak experiment.
 """
 
 from repro.serve.admission import (
@@ -25,11 +27,14 @@ from repro.serve.bench import (
     ServeConfig,
     ServeResult,
     fair_variant,
+    hot_shard_share,
     render_serve,
     render_timeline,
     run_serve,
     run_serve_pair,
     serve_document,
+    soak_config,
+    untuned_variant,
 )
 from repro.serve.cluster import ClusterConfig, ServeCluster, Shard, TenantStats
 from repro.serve.loadgen import (
@@ -52,11 +57,14 @@ __all__ = [
     "ServeConfig",
     "ServeResult",
     "fair_variant",
+    "hot_shard_share",
     "render_serve",
     "render_timeline",
     "run_serve",
     "run_serve_pair",
     "serve_document",
+    "soak_config",
+    "untuned_variant",
     "ClusterConfig",
     "ServeCluster",
     "Shard",

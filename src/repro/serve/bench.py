@@ -1,4 +1,4 @@
-"""The serve benchmark: multi-tenant load against the sharded cluster.
+"""The serve benchmark: open-loop load against the sharded cluster.
 
 Drives a :class:`~repro.serve.cluster.ServeCluster` with the
 :mod:`~repro.serve.loadgen` request stream — by default the hot-tenant
@@ -13,14 +13,23 @@ cluster idles along. Reported per tenant *and* per shard:
   every tenant gets the same tail, the number a multi-tenant SLA is
   written against);
 - admission-control counts (admitted / queued / shed, shed by pressure
-  cause) and each shard's stall breakdown (``blocked_ns`` and the PR 7
-  cause counters).
+  cause), each shard's stall counters and its compaction rate-limiter
+  counts;
+- stability over time, after "On Performance Stability in LSM-based
+  Storage Systems" (Luo & Carey): the worst windowed p99.9 against the
+  median window (``p999_ratio``, 1.0 = perfectly flat), and every
+  ``lsm.write_stall`` span a shard emits, by cause, charged to the
+  arrival window of the request it delayed — the same windows the
+  latency histograms use — plus the single longest stall.
+
+:func:`soak_config` presets the same machinery down to one store under
+flat all-put load: the soak experiment.
 
 Documents use the versioned ``repro.serve/1`` schema and are gated by
-:mod:`repro.bench.compare` like the soak and throughput baselines. The
-``serve-fair`` variant applies the per-shard stability machinery — the
-compaction rate limiter in fair mode plus dynamic slowdown — and the
-serve gate asserts it beats the untuned cluster on worst-tenant p99.9.
+:mod:`repro.bench.compare`. The ``serve-fair`` variant applies the
+per-shard stability machinery — the compaction rate limiter in fair
+mode plus dynamic slowdown — and the serve and soak gates assert it
+beats the untuned run.
 """
 
 from __future__ import annotations
@@ -36,9 +45,16 @@ from repro.serve.loadgen import (
     LoadConfig,
     open_loop,
 )
+from repro.serve.router import Router
 from repro.sim.clock import to_micros
 
 SERVE_SCHEMA = "repro.serve/1"
+
+#: stall causes in rendering order (the ``lsm.write_stall`` labels)
+STALL_CAUSES = ("l0_slowdown", "memtable_full", "l0_stop", "major_deferred")
+
+#: the compaction rate limiter's job counts reported per shard
+LIMITER_COUNTS = ("throttled_jobs", "held_jobs", "bypassed_jobs")
 
 
 @dataclass
@@ -130,24 +146,67 @@ class ServeConfig:
         )
 
 
+def soak_config(**fields) -> ServeConfig:
+    """The soak preset: serve reduced to one store under flat put load.
+
+    One shard, one tenant, no diurnal curve and no admission control,
+    so open-loop arrivals queue straight into the store's write path
+    and every stall reaches latency. Every request is a put over a
+    keyspace as large as the run: at serve's 2000 keys and 90% writes
+    the tree stays too small to stall at all. ``fields`` set the rest
+    (store, rate, horizon, window, ...).
+    """
+    config = ServeConfig(
+        num_shards=1,
+        num_tenants=1,
+        diurnal_amplitude=0.0,
+        max_queue=0,
+        write_fraction=1.0,
+        **fields,
+    )
+    return replace(config, keys_per_tenant=config.expected_ops)
+
+
+def hot_shard_share(config: ServeConfig) -> float:
+    """The busiest shard's share of the write stream.
+
+    Each tenant's share is its Zipf probability, spread evenly over its
+    router home group (keys hash uniformly within the group): 1.0 on a
+    single shard, about 0.49 at the serve defaults, where the hot
+    tenant's home shard also hosts a colder one.
+    """
+    load = config.load_config()
+    weights = [
+        1.0 / (rank + 1) ** load.tenant_theta
+        for rank in range(load.num_tenants)
+    ]
+    total = sum(weights)
+    router = Router(config.num_shards, seed=config.seed, spread=config.spread)
+    shares = [0.0] * config.num_shards
+    for tenant, weight in zip(load.tenant_ids(), weights):
+        group = router.shards_of_tenant(tenant)
+        for shard in group:
+            shares[shard] += weight / total / len(group)
+    return max(shares)
+
+
 def fair_variant(config: ServeConfig) -> ServeConfig:
     """The stability-tuned twin: same cluster, same workload, same seed.
 
-    Sized like the soak harness's tuned variant, per shard: sustained
-    user-data ingest at the *hot* shard is the total write ingest times
-    the hot tenant's share (with tenant-affine placement and zipf 0.99
-    over a handful of tenants, roughly half the traffic lands on one
-    shard), and leveling write amplification multiplies that
-    several-fold. A 14x-ingest cap with a shallow burst bucket spreads
-    deep-major bursts without ever starving steady-state demand; fair
-    mode exempts and prioritizes the L0 drain; dynamic slowdown replaces
-    the fixed 1 ms writer delay with a debt-scaled ramp.
+    Sized per shard for the hottest one: sustained user-data ingest
+    there is the total write ingest times :func:`hot_shard_share`, and
+    leveling write amplification multiplies that several-fold (~10x at
+    this tree shape). A 14x-ingest cap keeps up with steady-state
+    demand, while a shallow burst bucket (~100 ms of ingest) spreads the
+    deep-major bursts that produce the spike windows; fair mode exempts
+    and prioritizes the L0 drain; dynamic slowdown replaces the fixed
+    1 ms writer delay with a debt-scaled ramp.
     """
     ingest = int(
         config.arrival_rate
         * config.write_fraction
         * (config.key_size + config.value_size)
-        * 0.5  # hot shard's share of the total
+        * hot_shard_share(config)
     )
     return replace(
         config,
@@ -155,6 +214,17 @@ def fair_variant(config: ServeConfig) -> ServeConfig:
         compaction_rate_burst_bytes=ingest // 10,
         compaction_rate_fair=True,
         dynamic_slowdown=True,
+    )
+
+
+def untuned_variant(config: ServeConfig) -> ServeConfig:
+    """The stock twin: ``config`` with every stability knob off."""
+    return replace(
+        config,
+        compaction_rate_bytes_per_sec=0,
+        compaction_rate_burst_bytes=0,
+        compaction_rate_fair=False,
+        dynamic_slowdown=False,
     )
 
 
@@ -196,6 +266,8 @@ class ShardReport:
     p999_us: float
     admission: Dict[str, object]
     stalls: Dict[str, object]
+    #: compaction rate-limiter job counts (all zero when it is off)
+    ratelimiter: Dict[str, int]
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -207,6 +279,7 @@ class ShardReport:
             "p999_us": round(self.p999_us, 3),
             "admission": dict(self.admission),
             "stalls": dict(self.stalls),
+            "ratelimiter": dict(self.ratelimiter),
         }
 
 
@@ -236,8 +309,13 @@ class ServeResult:
     worst_tenant_p999_us: float = 0.0
     overall_p999_us: float = 0.0
     windowed_p999_us: float = 0.0  # worst windowed cluster p99.9
+    median_p999_us: float = 0.0  # median windowed cluster p99.9
+    p999_ratio: float = 0.0  # worst / median
     blocked_ns: int = 0  # summed over shards
-    #: per-window (ops, p99.9, shed) for the ascii timeline
+    max_stall_ns: int = 0  # longest single write stall on any shard
+    #: write-stall ns by cause, summed over shards and windows
+    stall_cause_ns: Dict[str, int] = field(default_factory=dict)
+    #: per-window (ops, p99.9, shed, stalls) for the ascii timeline
     windows: List[Dict[str, object]] = field(default_factory=list)
     wall_seconds: float = 0.0
 
@@ -263,6 +341,10 @@ class ServeResult:
                 "virtual_ns": self.virtual_ns,
                 "overall_p999_us": round(self.overall_p999_us, 3),
                 "windowed_p999_us": round(self.windowed_p999_us, 3),
+                "median_p999_us": round(self.median_p999_us, 3),
+                "p999_ratio": round(self.p999_ratio, 4),
+                "max_stall_ns": self.max_stall_ns,
+                "stall_cause_ns": dict(self.stall_cause_ns),
                 "arrival_rate": self.arrival_rate,
                 "duration_s": self.duration_s,
                 "window_ns": self.window_ns,
@@ -309,24 +391,42 @@ def run_serve(config: ServeConfig, telemetry=None) -> ServeResult:
     )
     if telemetry is not None:
         telemetry.on_cluster(cluster)
+    window_ns = config.window_ns
     offered = 0
     last_done = 0
+    #: arrival window of the request being served; a stall span is
+    #: emitted while its request runs, so it is charged to that window
+    window = 0
+    #: write-stall ns by cause, and the longest stall, per window
+    stall_ns: Dict[int, Dict[str, int]] = {}
+    max_stall_ns: Dict[int, int] = {}
+
+    def on_span(span) -> None:
+        if span.name != "lsm.write_stall":
+            return
+        cause = str(span.attrs.get("cause", "unknown"))
+        causes = stall_ns.setdefault(window, {})
+        causes[cause] = causes.get(cause, 0) + span.duration_ns
+        max_stall_ns[window] = max(max_stall_ns.get(window, 0),
+                                   span.duration_ns)
+
+    for shard in cluster.shards:
+        shard.stack.obs.add_span_listener(on_span)
+
+    def serve(request) -> Optional[int]:
+        nonlocal offered, window
+        offered += 1
+        window = request.arrival // window_ns
+        return cluster.serve(request)
+
     wall_start = time.perf_counter()
     if config.mode == "closed":
-        driver = ClosedLoopDriver(config.load_config())
-
-        def execute(request):
-            nonlocal offered
-            offered += 1
-            return cluster.serve(request)
-
-        last_done = driver.run(execute)
+        last_done = ClosedLoopDriver(config.load_config()).run(serve)
     elif config.mode == "open":
         for request in open_loop(config.load_config()):
-            offered += 1
             if telemetry is not None:
                 telemetry.advance(request.arrival)
-            done = cluster.serve(request)
+            done = serve(request)
             if done is not None:
                 last_done = max(last_done, done)
     else:
@@ -344,7 +444,7 @@ def run_serve(config: ServeConfig, telemetry=None) -> ServeResult:
         num_tenants=config.num_tenants,
         arrival_rate=config.arrival_rate,
         duration_s=config.duration_s,
-        window_ns=config.window_ns,
+        window_ns=window_ns,
         mode=config.mode,
         virtual_ns=last_done,
         wall_seconds=wall_seconds,
@@ -380,6 +480,7 @@ def run_serve(config: ServeConfig, telemetry=None) -> ServeResult:
                 p999_us=ps["p999"],
                 admission=shard.admission.stats.to_dict(),
                 stalls=shard.stall_snapshot(),
+                ratelimiter=_ratelimiter_counts(shard.db),
             )
         )
         result.blocked_ns += shard.db.stats.blocked_ns
@@ -396,6 +497,17 @@ def run_serve(config: ServeConfig, telemetry=None) -> ServeResult:
         cluster.latency.total.percentile(99.9)
     )
     result.windowed_p999_us = to_micros(cluster.latency.max_over_windows(99.9))
+    result.median_p999_us = to_micros(
+        cluster.latency.median_over_windows(99.9)
+    )
+    if result.median_p999_us > 0:
+        result.p999_ratio = result.windowed_p999_us / result.median_p999_us
+    result.max_stall_ns = max(max_stall_ns.values(), default=0)
+    for causes in stall_ns.values():
+        for cause, ns in causes.items():
+            result.stall_cause_ns[cause] = (
+                result.stall_cause_ns.get(cause, 0) + ns
+            )
     for index in cluster.latency.window_indices():
         hist = cluster.latency.windows[index]
         result.windows.append(
@@ -405,21 +517,21 @@ def run_serve(config: ServeConfig, telemetry=None) -> ServeResult:
                 "p50_us": round(to_micros(hist.p50), 3),
                 "p999_us": round(to_micros(hist.percentile(99.9)), 3),
                 "shed": cluster.shed_by_window.get(index, 0),
+                "stall_ns": stall_ns.get(index, {}),
+                "max_stall_ns": max_stall_ns.get(index, 0),
             }
         )
     return result
 
 
+def _ratelimiter_counts(db) -> Dict[str, int]:
+    limiter = getattr(db, "_ratelimiter", None)
+    return {name: getattr(limiter, name, 0) for name in LIMITER_COUNTS}
+
+
 def run_serve_pair(config: ServeConfig) -> List[ServeResult]:
     """Run the untuned cluster and its fair-scheduled twin (same seed)."""
-    untuned = replace(
-        config,
-        compaction_rate_bytes_per_sec=0,
-        compaction_rate_burst_bytes=0,
-        compaction_rate_fair=False,
-        dynamic_slowdown=False,
-    )
-    return [run_serve(untuned), run_serve(fair_variant(config))]
+    return [run_serve(untuned_variant(config)), run_serve(fair_variant(config))]
 
 
 def serve_document(
@@ -434,8 +546,17 @@ def serve_document(
     }
 
 
+def _cause_summary(stall_ns: Dict[str, int]) -> str:
+    parts = []
+    for cause in STALL_CAUSES:
+        ns = stall_ns.get(cause, 0)
+        if ns:
+            parts.append(f"{cause.split('_')[-1][:4]}:{ns / 1e6:.1f}ms")
+    return " ".join(parts)
+
+
 def render_timeline(result: ServeResult, width: int = 40) -> str:
-    """Ascii timeline: per-window cluster p99.9 bar + shed counts."""
+    """Ascii timeline: per-window cluster p99.9 bar, sheds and stalls."""
     title = (
         f"{result.store}/{result.workload}: {result.num_ops} requests "
         f"({result.served} served, {result.shed} shed) @ "
@@ -446,16 +567,23 @@ def render_timeline(result: ServeResult, width: int = 40) -> str:
     lines = [title, "-" * min(len(title), 78)]
     peak = max((w["p999_us"] for w in result.windows), default=0.0)
     lines.append(
-        f"{'win':>4} {'ops':>6} {'shed':>5} {'p50us':>8} {'p999us':>9}  p99.9"
+        f"{'win':>4} {'ops':>6} {'shed':>5} {'p50us':>8} {'p999us':>9} "
+        f"{'stall':>9}  p99.9"
     )
     for w in result.windows:
         bar = "#" * (
             max(int(w["p999_us"] / peak * width), 1) if peak > 0 else 0
         )
-        lines.append(
+        stall = sum(w["stall_ns"].values())
+        stall_col = f"{stall / 1e6:>7.1f}ms" if stall else f"{'-':>9}"
+        line = (
             f"{w['index']:>4} {w['ops']:>6} {w['shed']:>5} "
-            f"{w['p50_us']:>8.1f} {w['p999_us']:>9.1f}  {bar}"
+            f"{w['p50_us']:>8.1f} {w['p999_us']:>9.1f} {stall_col}  {bar}"
         )
+        causes = _cause_summary(w["stall_ns"])
+        if causes:
+            line += f"  [{causes}]"
+        lines.append(line)
     lines.append("")
     lines.append(
         f"{'tenant':<10} {'served':>7} {'shed':>5} {'queued':>6} "
@@ -486,6 +614,22 @@ def render_timeline(result: ServeResult, width: int = 40) -> str:
         f"worst tenant p99.9 {result.worst_tenant_p999_us:,.1f} us; "
         f"cluster blocked {result.blocked_ns / 1e6:.2f} ms"
     )
+    lines.append(
+        f"windowed p99.9: worst {result.windowed_p999_us:,.1f} us, "
+        f"median {result.median_p999_us:,.1f} us, "
+        f"ratio {result.p999_ratio:.2f}x; "
+        f"max stall {result.max_stall_ns / 1e6:.2f} ms"
+    )
+    limited = {
+        name: sum(s.ratelimiter[name] for s in result.shards)
+        for name in LIMITER_COUNTS
+    }
+    if any(limited.values()):
+        lines.append(
+            f"rate limiter: {limited['throttled_jobs']} throttled, "
+            f"{limited['held_jobs']} hold-backs, "
+            f"{limited['bypassed_jobs']} urgent bypasses"
+        )
     return "\n".join(lines)
 
 
@@ -496,11 +640,15 @@ def render_serve(results: Sequence[ServeResult], width: int = 40) -> str:
     if "serve" in by_variant and "serve-fair" in by_variant:
         base, fair = by_variant["serve"], by_variant["serve-fair"]
         blocks.append(
-            "multi-tenant stability: fair vs untuned — "
+            "stability: fair vs untuned — "
             f"worst tenant p99.9 {base.worst_tenant_p999_us:,.1f} -> "
             f"{fair.worst_tenant_p999_us:,.1f} us, "
             f"fairness {base.fairness_ratio:.2f}x -> "
             f"{fair.fairness_ratio:.2f}x, "
-            f"shed {base.shed} -> {fair.shed}"
+            f"shed {base.shed} -> {fair.shed},\n"
+            f"  p99.9 ratio {base.p999_ratio:.2f}x -> "
+            f"{fair.p999_ratio:.2f}x, "
+            f"max stall {base.max_stall_ns / 1e6:.2f} -> "
+            f"{fair.max_stall_ns / 1e6:.2f} ms"
         )
     return "\n\n".join(blocks)

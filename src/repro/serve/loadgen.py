@@ -1,8 +1,7 @@
 """Virtual-time load generation: who asks for what, when.
 
-Generalizes the soak harness's arrival machinery
-(:mod:`repro.bench.soak`) from "one store, one tenant, constant-rate
-puts" to a multi-tenant request stream:
+A multi-tenant request stream; with one tenant, a flat rate and all
+puts it is the soak workload (:func:`repro.serve.bench.soak_config`):
 
 - **Open loop**: Poisson arrivals whose instantaneous rate follows a
   diurnal curve — ``rate(t) = base * (1 + amplitude * sin(...))`` with

@@ -133,9 +133,9 @@ def _missing_family(docs):
 MUTATIONS = [
     ("parallelism", "parallelism_4x2_speedup", _slow_sweep),
     ("soak", "soak_tuned_lowers_p999_ratio",
-     _copy_field("p999_ratio", "soak", "soak-tuned", "soak.json")),
+     _copy_field("p999_ratio", "serve", "serve-fair", "soak.json")),
     ("soak", "soak_tuned_lowers_max_stall",
-     _copy_field("max_stall_ns", "soak", "soak-tuned", "soak.json")),
+     _copy_field("max_stall_ns", "serve", "serve-fair", "soak.json")),
     ("serve", "serve_untuned_hits_backpressure", _no_backpressure),
     ("serve", "serve_fair_lowers_worst_tenant_p999",
      _copy_field("worst_tenant_p999_us", "serve", "serve-fair",
@@ -184,7 +184,7 @@ def test_every_check_has_a_mutation():
 def test_wrong_schema_fails_the_check():
     gate = GATES["soak"]
     docs = copy.deepcopy(conforming(gate))
-    docs["soak.json"]["schema"] = "repro.serve/1"
+    docs["soak.json"]["schema"] = "repro.bench/1"
     assert len(run_checks(gate, docs)) == len(gate.checks)
 
 
@@ -194,6 +194,17 @@ def test_every_gate_writes_its_baseline_document():
         if gate.baseline is not None:
             assert gate.baseline in gate.writes
             assert (BASELINES / gate.baseline).exists()
+
+
+def test_baselines_are_exactly_what_the_gates_write():
+    """No orphaned baseline outlives its gate, and none goes unrecorded."""
+    written = {
+        name
+        for gate in GATES.values()
+        if gate.baseline is not None
+        for name in gate.writes
+    }
+    assert {p.name for p in BASELINES.iterdir()} == written
 
 
 def test_fillrandom_gate_reproduces_its_baseline(tmp_path, capsys):

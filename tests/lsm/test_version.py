@@ -213,6 +213,41 @@ def test_recover_validator_cascades_through_consumers(stack):
     assert recovered.current.files[3] == []
 
 
+def test_recover_rolls_back_a_lost_output_consumed_by_a_rolled_back_edit(
+    stack,
+):
+    """A consumer that is itself rolled back does not vouch for its input.
+
+    Edit A turns 4 into 7, edit B turns 7 into 9, and neither 7 nor 9
+    became durable. B rolls back because 9 is lost; that voids B's
+    deletion of 7, so 7 must validate on its own, fails, and A rolls
+    back too — leaving A's input 4 live.
+    """
+    options = Options()
+    options.sync.sync_manifest = False
+    versions = VersionSet(stack.fs, "db", options)
+    base = VersionEdit()
+    base.add_file(1, meta(4, b"a", b"z"))
+    t = versions.log_and_apply(base, at=0)
+    edit_a = VersionEdit()
+    edit_a.delete_file(1, 4)
+    edit_a.add_file(2, meta(7, b"a", b"z"))
+    t = versions.log_and_apply(edit_a, at=t)
+    edit_b = VersionEdit()
+    edit_b.delete_file(2, 7)
+    edit_b.add_file(3, meta(9, b"a", b"z"))
+    t = versions.log_and_apply(edit_b, at=t)
+    t = stack.fs.fsync(versions._manifest, at=t)
+
+    recovered = VersionSet(stack.fs, "db", options)
+    recovered.validate_new_file = lambda m: m.number not in (7, 9)
+    recovered.recover(at=t)
+    assert recovered.skipped_edits == 2
+    assert [f.number for f in recovered.current.files[1]] == [4]
+    assert recovered.current.files[2] == []
+    assert recovered.current.files[3] == []
+
+
 def test_recover_validator_accepts_consumed_missing_files(stack):
     """A file deleted by a later edit may legitimately be gone from disk."""
     options = Options()

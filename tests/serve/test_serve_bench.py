@@ -5,7 +5,10 @@ module and every assertion reads from it: the untuned cluster must
 actually hit backpressure, the fair-scheduled twin must beat it on the
 worst tenant's tail, and the resulting ``repro.serve/1`` document must
 be deterministic (modulo the host section) and gateable by
-``repro.bench.compare``.
+``repro.bench.compare``. A second pair runs the soak preset (one
+shard, one tenant, flat all-put load) long enough to reach the
+bursty-compaction regime, where the fair twin must flatten the
+windowed tail and shorten the longest write stall.
 """
 
 import copy
@@ -19,11 +22,13 @@ from repro.serve.bench import (
     SERVE_SCHEMA,
     ServeConfig,
     fair_variant,
+    hot_shard_share,
     render_serve,
     render_timeline,
     run_serve,
     run_serve_pair,
     serve_document,
+    soak_config,
 )
 
 #: hot enough that the untuned hot shard queues *and* sheds, small
@@ -46,9 +51,20 @@ TINY = ServeConfig(
 )
 
 
+#: the soak preset: small enough for the suite, long enough to reach
+#: the spike regime
+SOAK = soak_config(duration_s=0.15, arrival_rate=40_000.0, window_ms=25.0)
+
+
 @pytest.fixture(scope="module")
 def pair():
     return run_serve_pair(SMALL)
+
+
+@pytest.fixture(scope="module")
+def soak_pair():
+    return run_serve_pair(soak_config(duration_s=0.3, arrival_rate=40_000.0,
+                                      window_ms=25.0))
 
 
 def canonical(doc):
@@ -184,7 +200,7 @@ def test_renderers_tell_the_story(pair):
     for tenant in SMALL.load_config().tenant_ids():
         assert tenant in timeline
     text = render_serve(pair)
-    assert "multi-tenant stability: fair vs untuned" in text
+    assert "stability: fair vs untuned" in text
     assert f"shed {base.shed} -> {fair.shed}" in text
 
 
@@ -240,3 +256,117 @@ def test_cluster_without_telemetry_uses_null_front_door():
     assert cluster.obs is NULL_REGISTRY
     assert cluster._c_offered is NULL_COUNTER
     assert cluster._c_offered.value == 0
+
+
+def test_stall_windows_tile_the_cause_totals(pair, soak_pair):
+    """Every stall lands in exactly one arrival window: per cause, the
+    windows sum to the run total, and the longest stall is the longest
+    window's."""
+    for result in pair + soak_pair:
+        for cause, total in result.stall_cause_ns.items():
+            assert sum(
+                w["stall_ns"].get(cause, 0) for w in result.windows
+            ) == total, (result.workload, cause)
+        assert set().union(*(w["stall_ns"] for w in result.windows)) == set(
+            result.stall_cause_ns
+        )
+        assert result.max_stall_ns == max(
+            w["max_stall_ns"] for w in result.windows
+        )
+    assert soak_pair[0].max_stall_ns > 0, "the untuned soak never stalled"
+
+
+def test_hot_shard_share_is_derived_from_the_tenant_pmf():
+    assert hot_shard_share(SOAK) == 1.0
+    assert hot_shard_share(ServeConfig()) == pytest.approx(0.4878, abs=1e-4)
+    # one shard takes the whole write stream: the fair cap is 14x the
+    # full ingest, the burst bucket a tenth of a second of it
+    fair = fair_variant(SOAK)
+    ingest = int(SOAK.arrival_rate * (SOAK.key_size + SOAK.value_size))
+    assert fair.compaction_rate_bytes_per_sec == 14 * ingest
+    assert fair.compaction_rate_burst_bytes == ingest // 10
+    assert fair.compaction_rate_fair and fair.dynamic_slowdown
+    assert fair.load_config() == SOAK.load_config()
+
+
+def test_soak_run_is_deterministic():
+    a = serve_document([run_serve(SOAK)])
+    b = serve_document([run_serve(SOAK)])
+    assert canonical(a) == canonical(b)
+
+
+def test_soak_window_shape_and_stall_accounting():
+    result = run_serve(SOAK)
+    assert result.workload == "serve"
+    assert (result.num_shards, result.num_tenants) == (1, 1)
+    assert result.num_ops == result.served > 0
+    assert result.windows, "no latency windows recorded"
+    assert sum(w["ops"] for w in result.windows) == result.num_ops
+    assert result.windowed_p999_us >= result.median_p999_us > 0
+    assert result.p999_ratio >= 1.0
+    # the cause-labelled stall spans tile the unified blocked time
+    (shard,) = result.shards
+    assert sum(result.stall_cause_ns.values()) == result.blocked_ns
+    assert result.blocked_ns == (
+        shard.stalls["stall_ns"] + shard.stalls["slowdown_ns"]
+    )
+
+
+def test_soak_fair_twin_strictly_improves_stability(soak_pair):
+    base, fair = soak_pair
+    assert base.workload == "serve" and fair.workload == "serve-fair"
+    # the soak gate's two claims, strictly, plus the spike and blocked time
+    assert fair.p999_ratio < base.p999_ratio
+    assert fair.max_stall_ns < base.max_stall_ns
+    assert fair.windowed_p999_us < base.windowed_p999_us
+    assert fair.blocked_ns < base.blocked_ns
+
+
+def test_soak_document_schema(soak_pair):
+    doc = serve_document(soak_pair, meta={"target": "soak"})
+    assert doc["schema"] == SERVE_SCHEMA
+    assert doc["meta"]["target"] == "soak"
+    assert {r["workload"] for r in doc["results"]} == {"serve", "serve-fair"}
+    row = doc["results"][0]
+    for key in (
+        "store",
+        "ops",
+        "value_size",
+        "windowed_p999_us",
+        "median_p999_us",
+        "p999_ratio",
+        "max_stall_ns",
+        "stall_cause_ns",
+        "blocked_ns",
+        "windows",
+    ):
+        assert key in row, key
+    assert row["extras"] == {"num_shards": 1, "num_tenants": 1}
+    (shard,) = row["shards"]
+    assert set(shard["ratelimiter"]) == {
+        "throttled_jobs", "held_jobs", "bypassed_jobs"
+    }
+    assert {"stall_ns", "max_stall_ns"} <= set(row["windows"][0])
+
+
+def test_compare_gate_flags_stability_regressions(soak_pair):
+    base_doc = canonical(serve_document(soak_pair))
+    cur_doc = copy.deepcopy(base_doc)
+    for row in cur_doc["results"]:
+        row["windowed_p999_us"] = row["windowed_p999_us"] * 10 + 1000
+        row["p999_ratio"] = row["p999_ratio"] * 10 + 10
+        row["max_stall_ns"] = row["max_stall_ns"] * 10 + 10_000_000
+    report = compare_documents(base_doc, cur_doc)
+    assert not report.passed
+    assert {d.metric for d in report.regressions} == {
+        "windowed_p999_us", "p999_ratio", "max_stall_ns"
+    }
+
+
+def test_soak_render_smoke(soak_pair):
+    text = render_serve(soak_pair)
+    assert "stability: fair vs untuned" in text
+    assert "p99.9 ratio" in text and "max stall" in text
+    timeline = render_timeline(soak_pair[0])
+    assert "1 shards x 1 tenants" in timeline and "#" in timeline
+    assert "stall" in timeline and "[slow:" in timeline
