@@ -48,14 +48,23 @@ refresh-%-baseline:
 perf-gate: fillrandom-gate parallelism-gate
 refresh-baselines: refresh-fillrandom-baseline refresh-parallelism-baseline
 
-# Profile the fillrandom hot path: writes a cProfile dump and prints
-# the top frames by cumulative time. Start here before optimising.
+# Profile the hot paths: cProfile dumps of fillrandom (the write path)
+# and of fig5b on noblsm (point gets beside writes and the parallel
+# picker), each printed as its top frames by cumulative time. Start
+# here before optimising. cProfile charges its overhead to every call,
+# so it inflates frames made of many small calls; confirm a hot spot
+# with a same-host before/after of the change before building it.
 profile:
 	mkdir -p results/profile
 	$(RUN) -m cProfile -o results/profile/fillrandom.pstats \
 		-m repro.bench.cli fillrandom --scale 2000
 	$(RUN) -c "import pstats; \
 		pstats.Stats('results/profile/fillrandom.pstats') \
+		.sort_stats('cumulative').print_stats(30)"
+	$(RUN) -m cProfile -o results/profile/fig5b.pstats \
+		-m repro.bench fig5b --stores noblsm
+	$(RUN) -c "import pstats; \
+		pstats.Stats('results/profile/fig5b.pstats') \
 		.sort_stats('cumulative').print_stats(30)"
 
 # Wall-clock simulator throughput (ops/sec real time, median of repeats).

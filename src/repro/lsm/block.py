@@ -141,11 +141,15 @@ class Block:
         append_value = values.append
         pos = 0
         for _ in range(count):
-            # inline varint decode, single-byte fast path
+            # inline varint decode: one- and two-byte lengths (every key,
+            # and every value under 16 KiB) never leave this loop
             if pos < body_len:
                 klen = data[pos]
                 if klen < 0x80:
                     pos += 1
+                elif pos + 1 < body_len and data[pos + 1] < 0x80:
+                    klen = (klen & 0x7F) | (data[pos + 1] << 7)
+                    pos += 2
                 else:
                     klen, pos = get_varint(data, pos)
             else:
@@ -154,6 +158,9 @@ class Block:
                 vlen = data[pos]
                 if vlen < 0x80:
                     pos += 1
+                elif pos + 1 < body_len and data[pos + 1] < 0x80:
+                    vlen = (vlen & 0x7F) | (data[pos + 1] << 7)
+                    pos += 2
                 else:
                     vlen, pos = get_varint(data, pos)
             else:

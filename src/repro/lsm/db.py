@@ -439,7 +439,7 @@ class DB:
     # ------------------------------------------------------------------
 
     def _l0_live_count(self) -> int:
-        return sum(1 for f in self.versions.current.files[0] if not f.shadow)
+        return self.versions.current.l0_live_count
 
     def write_pressure(self) -> str:
         """Admission-control view of the write path, without writing.
@@ -481,14 +481,13 @@ class DB:
         compaction trigger (all of it must move to L1 before the
         triggers relax), and every deeper level owes whatever it holds
         beyond its target size — the same quantities
-        :meth:`~repro.lsm.version.Version.level_score` scores, in bytes
-        so a sampled series is comparable across levels.
+        :attr:`~repro.lsm.version.Version.scores` score, in bytes so a
+        sampled series is comparable across levels.
         """
         version = self.versions.current
         debt = 0
-        live_l0 = [f for f in version.files[0] if not f.shadow]
-        if len(live_l0) >= self.options.l0_compaction_trigger:
-            debt += sum(f.file_size for f in live_l0)
+        if version.l0_live_count >= self.options.l0_compaction_trigger:
+            debt += version.l0_live_bytes
         for level in range(1, self.options.num_levels - 1):
             over = version.level_bytes(level) - int(
                 self.options.max_bytes_for_level(level)
@@ -622,14 +621,7 @@ class DB:
             if compaction is not None:
                 yield compaction
             return
-        levels = sorted(
-            (
-                level
-                for level in range(self.options.num_levels - 1)
-                if self.versions.level_score(level) > 0.999999
-            ),
-            key=lambda level: (-self.versions.level_score(level), level),
-        )
+        levels = list(self.versions.current.compaction_levels)
         if self._fair_l0_pressure() and 0 in levels:
             # fair mode: the L0 drain goes first even when a deeper
             # level's score is higher — it is what unblocks writers

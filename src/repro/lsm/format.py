@@ -40,24 +40,19 @@ def get_fixed64(buf: bytes, offset: int = 0) -> int:
     return _FIXED64.unpack_from(buf, offset)[0]
 
 
-#: single-byte encodings for values < 128 — the overwhelmingly common
-#: case (key/value length prefixes); indexing this table avoids the
-#: encode loop and a bytearray allocation per call
-_VARINT_SMALL = tuple(bytes((v,)) for v in range(0x80))
-
-#: memo for multi-byte encodings — length prefixes repeat endlessly
-#: (every value in a run has the same size), so encode each once
-_VARINT_CACHE: "dict[int, bytes]" = {}
-_VARINT_CACHE_CAPACITY = 4096
+#: every one- and two-byte encoding (values < 16384), built at import:
+#: key and value length prefixes all fall here, so encoding one is an
+#: index into an immutable table
+_VARINT_TABLE: Tuple[bytes, ...] = tuple(
+    bytes((v,)) if v < 0x80 else bytes(((v & 0x7F) | 0x80, v >> 7))
+    for v in range(1 << 14)
+)
 
 
 def put_varint(value: int) -> bytes:
     """Encode a non-negative int as a LEB128 varint."""
-    if 0 <= value < 0x80:
-        return _VARINT_SMALL[value]
-    cached = _VARINT_CACHE.get(value)
-    if cached is not None:
-        return cached
+    if 0 <= value < 0x4000:
+        return _VARINT_TABLE[value]
     if value < 0:
         raise ValueError(f"varint cannot encode negative value {value}")
     remaining = value
@@ -70,10 +65,7 @@ def put_varint(value: int) -> bytes:
         else:
             out.append(byte)
             break
-    encoded = bytes(out)
-    if len(_VARINT_CACHE) < _VARINT_CACHE_CAPACITY:
-        _VARINT_CACHE[value] = encoded
-    return encoded
+    return bytes(out)
 
 
 def get_varint(buf: bytes, offset: int = 0) -> Tuple[int, int]:

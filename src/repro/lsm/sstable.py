@@ -15,6 +15,8 @@ would move.
 
 from __future__ import annotations
 
+import bisect
+import operator
 from typing import Dict, List, Optional, Tuple
 
 from repro.fs.ext4 import Ext4, File
@@ -26,7 +28,7 @@ from repro.lsm.format import (
     TYPE_DELETION,
     TYPE_VALUE,
     get_fixed64,
-    make_internal_key,
+    pack_tag,
     parse_internal_key,
     put_fixed64,
 )
@@ -135,30 +137,26 @@ class TableBuilder:
         return self.fs.unlink(self.path, at=at)
 
 
-def _lower_bound(keys: List[bytes], target: bytes) -> int:
-    """First index whose internal key >= target (internal ordering).
+#: ``key[:-8]``, the user part of an internal key, as a C-level callable
+_user_part = operator.itemgetter(slice(None, -8))
 
-    ``internal_compare`` is inlined: the target's user part and tag are
-    sliced once instead of on every probe.
+
+def _seek_block(keys: List[bytes], user_key: bytes, tag: int) -> int:
+    """First entry of a decoded block at or after (``user_key``, ``tag``).
+
+    Internal order is user key ascending, then tag (sequence)
+    descending: bisect on the user part, then step past the newer
+    versions of ``user_key`` whose tag exceeds ``tag``.
     """
-    lo, hi = 0, len(keys)
-    if lo == hi:
-        return lo
-    target_user = target[:-8]
-    target_tag = get_fixed64(target, len(target) - 8)
-    while lo < hi:
-        mid = (lo + hi) >> 1
-        key = keys[mid]
-        user = key[:-8]
-        # key < target iff user asc first, then tag (sequence) desc
-        if user < target_user or (
-            user == target_user
-            and get_fixed64(key, len(key) - 8) > target_tag
-        ):
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+    pos = bisect.bisect_left(keys, user_key, key=_user_part)
+    count = len(keys)
+    while (
+        pos < count
+        and keys[pos][:-8] == user_key
+        and int.from_bytes(keys[pos][-8:], "little") > tag
+    ):
+        pos += 1
+    return pos
 
 
 class Table:
@@ -192,6 +190,12 @@ class Table:
         self._spans: List[Tuple[int, int]] = [
             (get_fixed64(v, 0), get_fixed64(v, 8)) for v in index.values
         ]
+        # each block's last user key and tag, split once so a lookup is
+        # a C bisect plus a walk over one key's versions
+        self._index_users: List[bytes] = [key[:-8] for key in index.keys]
+        self._index_tags: List[int] = [
+            int.from_bytes(key[-8:], "little") for key in index.keys
+        ]
 
     @classmethod
     def open(
@@ -217,6 +221,16 @@ class Table:
             fs, handle, index, bloom, size,
             block_cache=block_cache, number=number,
         ), t
+
+    def _find_block(self, user_key: bytes, tag: int) -> int:
+        """First block whose last key is at or after (``user_key``, ``tag``)."""
+        users = self._index_users
+        tags = self._index_tags
+        pos = bisect.bisect_left(users, user_key)
+        count = len(users)
+        while pos < count and users[pos] == user_key and tags[pos] > tag:
+            pos += 1
+        return pos
 
     def _read_block(self, block_pos: int, at: int) -> Tuple[Block, int]:
         if self.shared_cache is not None:
@@ -250,12 +264,12 @@ class Table:
         t = at + self.fs.cpu.bloom_check_ns
         if not self.bloom.may_contain(user_key):
             return None, t
-        target = make_internal_key(user_key, sequence_bound, TYPE_VALUE)
-        block_pos = _lower_bound(self.index.keys, target)
+        tag = pack_tag(sequence_bound, TYPE_VALUE)
+        block_pos = self._find_block(user_key, tag)
         if block_pos >= len(self.index.keys):
             return None, t
         block, t = self._read_block(block_pos, t)
-        entry_pos = _lower_bound(block.keys, target)
+        entry_pos = _seek_block(block.keys, user_key, tag)
         t += self.fs.cpu.memtable_lookup_ns  # binary-search cost
         if entry_pos >= len(block.keys):
             # the match may start in the next block (bound skipped past
@@ -356,16 +370,18 @@ class TableIterator:
 
     def seek(self, target: bytes) -> None:
         """Position at the first entry with internal key >= target."""
-        keys = self.table.index.keys
-        pos = _lower_bound(keys, target)
-        if pos >= len(keys):
+        user_key = target[:-8]
+        tag = get_fixed64(target, len(target) - 8)
+        count = len(self.table.index.keys)
+        pos = self.table._find_block(user_key, tag)
+        if pos >= count:
             self._block = None
-            self._block_pos = len(keys)
+            self._block_pos = count
             return
         self._block_pos = pos - 1
         self._advance_block()
         if self._block is not None:
-            self._entry_pos = _lower_bound(self._block.keys, target)
+            self._entry_pos = _seek_block(self._block.keys, user_key, tag)
             if self._entry_pos >= len(self._block.keys):
                 self._advance_block()
 

@@ -12,8 +12,9 @@ NobLSM.
 from __future__ import annotations
 
 import bisect
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.fs.ext4 import Ext4, File
 from repro.lsm.filenames import current_file_name, manifest_file_name
@@ -135,14 +136,120 @@ class VersionEdit:
         return edit
 
 
-class Version:
-    """Immutable per-level file lists. Levels >= 1 are sorted, disjoint."""
+_file_size = operator.attrgetter("file_size")
 
-    def __init__(self, num_levels: int) -> None:
-        self.files: List[List[FileMetaData]] = [[] for _ in range(num_levels)]
+
+def _non_decreasing(keys: List[bytes]) -> bool:
+    return all(map(operator.le, keys, keys[1:]))
+
+
+class _LevelIndex(NamedTuple):
+    """What a version computes once about one level's file list."""
+
+    bytes: int
+    smallest: List[bytes]  # user keys, in file order
+    largest: List[bytes]
+    #: both key arrays ascend, so a key range is one bisected slice
+    bisectable: bool
+
+
+def _index_level(level: int, files: List[FileMetaData]) -> _LevelIndex:
+    smallest = [f.smallest[:-8] for f in files]
+    largest = [f.largest[:-8] for f in files]
+    # LevelDB's levels >= 1 are disjoint, so both key arrays ascend;
+    # PebblesDB's fragmented levels overlap and keep the linear scan
+    return _LevelIndex(
+        sum(map(_file_size, files)),
+        smallest,
+        largest,
+        level > 0 and _non_decreasing(smallest) and _non_decreasing(largest),
+    )
+
+
+class Version:
+    """An immutable snapshot of each level's files, finalized once.
+
+    The per-level file lists are taken at construction (levels missing
+    from the end are empty) and never change afterwards; the version
+    owns them, and versions share the lists of levels an edit did not
+    touch. Level 0 is ordered by file number, deeper levels by smallest
+    key. Everything the picker and point gets ask of a version is
+    computed here, once — LevelDB's ``VersionSet::Finalize``:
+
+    - per-level byte totals and the live (non-shadow) level-0 count;
+    - each level's compaction score, and the compaction-worthy levels in
+      picker order (best score first, ties by level);
+    - per-level arrays of smallest and largest user keys, so lookups in
+      a level whose ranges are sorted are a bisect (LevelDB's
+      ``FindFile``).
+
+    Given the version it was edited from as ``base``, a level whose list
+    is shared with ``base`` takes its index from there instead of
+    rebuilding it.
+
+    A file's ``shadow`` flag is read here too. NobLSM sets it only on
+    compaction inputs, after the edit that removes them is installed, so
+    no file of the current version is ever a shadow.
+    """
+
+    __slots__ = (
+        "files",
+        "scores",
+        "compaction_levels",
+        "l0_live_count",
+        "l0_live_bytes",
+        "_index",
+        "_l0_search",
+        "_deep_search",
+    )
+
+    def __init__(
+        self,
+        options: Options,
+        files: Sequence[List[FileMetaData]] = (),
+        base: Optional["Version"] = None,
+    ) -> None:
+        levels = tuple(files) + tuple(
+            [] for _ in range(options.num_levels - len(files))
+        )
+        self.files: Tuple[List[FileMetaData], ...] = levels
+        index = self._index = [
+            base._index[level]
+            if base is not None and base.files[level] is level_files
+            else _index_level(level, level_files)
+            for level, level_files in enumerate(levels)
+        ]
+        live_l0 = [
+            (f, lo, hi)
+            for f, lo, hi in zip(levels[0], index[0].smallest, index[0].largest)
+            if not f.shadow
+        ]
+        self.l0_live_count = len(live_l0)
+        self.l0_live_bytes = sum(f.file_size for f, _, _ in live_l0)
+        # point-get candidates: live level-0 files newest first, then
+        # one bisect per populated deeper level
+        live_l0.sort(key=lambda entry: entry[0].number, reverse=True)
+        self._l0_search = live_l0
+        self._deep_search = [
+            (level, levels[level], index[level].smallest, index[level].largest)
+            for level in range(1, len(levels))
+            if levels[level]
+        ]
+        scores = [self.l0_live_count / float(options.l0_compaction_trigger)]
+        scores.extend(
+            index[level].bytes / options.max_bytes_for_level(level)
+            for level in range(1, options.num_levels - 1)
+        )
+        self.scores: Tuple[float, ...] = tuple(scores)
+        self.compaction_levels: Tuple[int, ...] = tuple(
+            sorted(
+                (level for level, score in enumerate(scores) if score > 0.999999),
+                key=lambda level: (-scores[level], level),
+            )
+        )
 
     def level_bytes(self, level: int) -> int:
-        return sum(f.file_size for f in self.files[level])
+        return self._index[level].bytes
 
     def num_files(self, level: int) -> int:
         return len(self.files[level])
@@ -155,22 +262,31 @@ class Version:
     ) -> List[FileMetaData]:
         """Files in ``level`` whose user-key range intersects [begin, end].
 
-        For level 0 (overlapping files), the range is expanded until it is
-        stable, as LevelDB does.
+        ``None`` leaves that side unbounded. A level with sorted ranges
+        maps the range to one bisected slice. Level 0 (overlapping
+        files) is scanned and the range expanded until it is stable, as
+        LevelDB does.
         """
+        files = self.files[level]
+        _, smallest, largest, bisectable = self._index[level]
+        if bisectable:
+            lo = 0 if begin is None else bisect.bisect_left(largest, begin)
+            hi = (
+                len(files) if end is None else bisect.bisect_right(smallest, end)
+            )
+            return files[lo:hi]
         inputs: List[FileMetaData] = []
         user_begin, user_end = begin, end
         i = 0
-        files = self.files[level]
         while i < len(files):
-            f = files[i]
-            f_begin, f_end = f.user_range()
+            f_begin = smallest[i]
+            f_end = largest[i]
             i += 1
             if user_end is not None and f_begin > user_end:
                 continue
             if user_begin is not None and f_end < user_begin:
                 continue
-            inputs.append(f)
+            inputs.append(files[i - 1])
             if level == 0:
                 if user_begin is not None and f_begin < user_begin:
                     user_begin = f_begin
@@ -212,33 +328,47 @@ class Version:
         Shadow files are skipped — they no longer serve reads
         (Section 4.3 of the paper).
         """
-        candidates: List[Tuple[int, FileMetaData]] = []
-        level0 = [
-            f
-            for f in self.files[0]
-            if not f.shadow
-            and f.smallest[:-8] <= user_key <= f.largest[:-8]
+        candidates = [
+            (0, f) for f, lo, hi in self._l0_search if lo <= user_key <= hi
         ]
-        level0.sort(key=lambda f: f.number, reverse=True)
-        candidates.extend((0, f) for f in level0)
-        for level in range(1, len(self.files)):
-            files = self.files[level]
-            if not files:
-                continue
-            pos = bisect.bisect_left(
-                [f.largest[:-8] for f in files], user_key
-            )
-            if pos < len(files):
+        for level, files, smallest, largest in self._deep_search:
+            pos = bisect.bisect_left(largest, user_key)
+            if pos < len(files) and smallest[pos] <= user_key:
                 f = files[pos]
-                if not f.shadow and f.smallest[:-8] <= user_key:
+                if not f.shadow:
                     candidates.append((level, f))
         return candidates
 
-    def clone(self) -> "Version":
-        copy = Version(len(self.files))
-        for level, files in enumerate(self.files):
-            copy.files[level] = list(files)
-        return copy
+
+def _edited_levels(
+    levels: Sequence[List[FileMetaData]], edit: VersionEdit
+) -> List[List[FileMetaData]]:
+    """The per-level file lists after ``edit``, ``levels`` left unchanged.
+
+    Each level the edit touches is rebuilt once: its deletions filtered
+    out, its additions appended and the level sorted once (level 0 by
+    file number, deeper levels by smallest key). Untouched levels keep
+    their list objects.
+    """
+    deleted: Dict[int, "set[int]"] = {}
+    for level, number in edit.deleted_files:
+        deleted.setdefault(level, set()).add(number)
+    added: Dict[int, List[FileMetaData]] = {}
+    for level, meta in edit.new_files:
+        added.setdefault(level, []).append(meta)
+    out = list(levels)
+    for level in deleted.keys() | added.keys():
+        gone = deleted.get(level, ())
+        files = [f for f in out[level] if f.number not in gone]
+        new = added.get(level)
+        if new:
+            files.extend(new)
+            if level > 0:
+                files.sort(key=lambda f: f.smallest)
+            else:
+                files.sort(key=lambda f: f.number)
+        out[level] = files
+    return out
 
 
 class VersionSet:
@@ -248,7 +378,7 @@ class VersionSet:
         self.fs = fs
         self.dbname = dbname
         self.options = options
-        self.current = Version(options.num_levels)
+        self.current = Version(options)
         self.next_file_number = 2
         self.last_sequence = 0
         self.log_number = 0
@@ -335,22 +465,12 @@ class VersionSet:
         if self.options.sync.sync_manifest:
             t = self._manifest.fsync(at=t, reason="manifest")
         self.manifest_writes += 1
-        self.current = self._apply(self.current, edit)
+        self.current = Version(
+            self.options,
+            _edited_levels(self.current.files, edit),
+            base=self.current,
+        )
         return t
-
-    def _apply(self, base: Version, edit: VersionEdit) -> Version:
-        version = base.clone()
-        for level, number in edit.deleted_files:
-            version.files[level] = [
-                f for f in version.files[level] if f.number != number
-            ]
-        for level, meta in edit.new_files:
-            version.files[level].append(meta)
-            if level > 0:
-                version.files[level].sort(key=lambda f: f.smallest)
-            else:
-                version.files[level].sort(key=lambda f: f.number)
-        return version
 
     # ------------------------------------------------------------------
     # recovery
@@ -384,7 +504,9 @@ class VersionSet:
 
         # Second pass: apply, rolling back edits whose outputs were lost.
         invalid = self._invalid_edits(edits)
-        version = Version(self.options.num_levels)
+        levels: List[List[FileMetaData]] = [
+            [] for _ in range(self.options.num_levels)
+        ]
         for index, edit in enumerate(edits):
             # scalar metadata is always safe to absorb
             if edit.log_number is not None:
@@ -402,8 +524,8 @@ class VersionSet:
                 # this fallback (NobLSM Section 4.4).
                 self.skipped_edits += 1
                 continue
-            version = self._apply(version, edit)
-        self.current = version
+            levels = _edited_levels(levels, edit)
+        self.current = Version(self.options, levels)
         # the recovered manifest's own number was allocated before some
         # of the edits recorded next_file_number (MarkFileNumberUsed)
         self.next_file_number = max(
@@ -431,7 +553,9 @@ class VersionSet:
         successors committed, so its absence from disk is expected —
         but only if that consuming edit is itself applied. Rolling an
         edit back voids its deletions, which can expose a never-durable
-        file it consumed, so the rollback iterates to a fixed point.
+        file it consumed, so the rollback iterates to a fixed point. A
+        delete that the same edit re-adds is a trivial move, not a
+        consumption: the moved file must still be on disk.
         """
         invalid: "set[int]" = set()
         if self.validate_new_file is None:
@@ -441,7 +565,8 @@ class VersionSet:
                 number
                 for index, edit in enumerate(edits)
                 if index not in invalid
-                for _, number in edit.deleted_files
+                for number in {n for _, n in edit.deleted_files}
+                - {meta.number for _, meta in edit.new_files}
             }
             found: "set[int]" = set()
             invalid_numbers: "set[int]" = set()
@@ -464,18 +589,11 @@ class VersionSet:
 
     def level_score(self, level: int) -> float:
         """LevelDB's compaction score (>= 1.0 means 'needs compaction')."""
-        if level == 0:
-            live = [f for f in self.current.files[0] if not f.shadow]
-            return len(live) / float(self.options.l0_compaction_trigger)
-        return self.current.level_bytes(level) / self.options.max_bytes_for_level(
-            level
-        )
+        return self.current.scores[level]
 
     def pick_compaction_level(self) -> Tuple[Optional[int], float]:
         """The level with the highest score, if any reaches 1.0."""
-        best_level, best_score = None, 0.999999
-        for level in range(0, self.options.num_levels - 1):
-            score = self.level_score(level)
-            if score > best_score:
-                best_level, best_score = level, score
-        return best_level, best_score
+        levels = self.current.compaction_levels
+        if not levels:
+            return None, 0.999999
+        return levels[0], self.current.scores[levels[0]]

@@ -158,3 +158,59 @@ def test_kernel_tables_bounded(db, stack):
     # every tracked inode was either unlinked (erased) or stays committed;
     # Pending drains completely at quiescence
     assert not stack.syscalls.pending
+
+
+def test_current_version_never_holds_a_shadow():
+    """Shadows leave the current version before they are marked.
+
+    ``Version`` counts live level-0 files once, at construction, so the
+    count stays right only if no file of the current version is ever
+    marked shadow. Checked after every installed edit and every input
+    disposal of a noblsm run with 4 channels, 2 background threads and
+    fair rate-limited compaction.
+    """
+    from repro.bench.harness import ScaledConfig
+
+    config = ScaledConfig(
+        scale=2000, num_ops=6000, num_channels=4, background_threads=2
+    )
+    stack = config.build_stack()
+    options = config.build_options()
+    options.compaction_rate_bytes_per_sec = 40 * 1024 * 1024
+    options.compaction_rate_burst_bytes = 256 * 1024
+    options.compaction_rate_fair = True
+    options.dynamic_slowdown = True
+    db = NobLSM(stack, options=options)
+    checks = []
+
+    def assert_no_current_shadow():
+        checks.append(1)
+        assert not [
+            meta.number
+            for files in db.versions.current.files
+            for meta in files
+            if meta.shadow
+        ]
+
+    log_and_apply = db.versions.log_and_apply
+    dispose_inputs = db._dispose_inputs
+
+    def checked_log_and_apply(edit, at):
+        t = log_and_apply(edit, at)
+        assert_no_current_shadow()
+        return t
+
+    def checked_dispose_inputs(compaction, outputs, at):
+        t = dispose_inputs(compaction, outputs, at)
+        assert_no_current_shadow()
+        return t
+
+    db.versions.log_and_apply = checked_log_and_apply
+    db._dispose_inputs = checked_dispose_inputs
+    t = fill(db, 6000, value_size=1024)
+    db.close(t)
+    limiter = db._ratelimiter
+    assert db.stats.major_compactions >= 10
+    assert db.tracker.groups_registered >= 10
+    assert limiter.bypassed_jobs > 0 and limiter.throttled_jobs > 0
+    assert len(checks) > 100

@@ -40,13 +40,17 @@ def test_no_compaction_when_all_scores_low(stack):
 
 def test_l0_compaction_picks_all_overlapping(stack):
     versions = make_versions(stack)
-    version = Version(7)
-    version.files[0] = [
-        meta(1, b"a", b"m"),
-        meta(2, b"g", b"z"),
-        meta(3, b"a", b"c"),
-        meta(4, b"x", b"z"),
-    ]
+    version = Version(
+        versions.options,
+        [
+            [
+                meta(1, b"a", b"m"),
+                meta(2, b"g", b"z"),
+                meta(3, b"a", b"c"),
+                meta(4, b"x", b"z"),
+            ]
+        ],
+    )
     versions.current = version
     compaction = pick_size_compaction(versions, versions.options)
     assert compaction is not None
@@ -57,9 +61,14 @@ def test_l0_compaction_picks_all_overlapping(stack):
 def test_level1_compaction_includes_next_level_overlap(stack):
     options = Options(max_bytes_for_level_base=1000)
     versions = make_versions(stack, options)
-    version = Version(7)
-    version.files[1] = [meta(1, b"a", b"m", size=5000)]
-    version.files[2] = [meta(2, b"a", b"f"), meta(3, b"g", b"p"), meta(4, b"q", b"z")]
+    version = Version(
+        options,
+        [
+            [],
+            [meta(1, b"a", b"m", size=5000)],
+            [meta(2, b"a", b"f"), meta(3, b"g", b"p"), meta(4, b"q", b"z")],
+        ],
+    )
     versions.current = version
     compaction = pick_size_compaction(versions, options)
     assert compaction.level == 1
@@ -70,8 +79,9 @@ def test_level1_compaction_includes_next_level_overlap(stack):
 def test_compact_pointer_round_robins(stack):
     options = Options(max_bytes_for_level_base=100)
     versions = make_versions(stack, options)
-    version = Version(7)
-    version.files[1] = [meta(1, b"a", b"c", 400), meta(2, b"d", b"f", 400)]
+    version = Version(
+        options, [[], [meta(1, b"a", b"c", 400), meta(2, b"d", b"f", 400)]]
+    )
     versions.current = version
     first = pick_size_compaction(versions, options)
     assert [f.number for f in first.inputs] == [1]
@@ -113,10 +123,8 @@ def test_trivial_move_blocked_by_grandparents(stack):
 
 def test_seek_compaction_for_live_file(stack):
     versions = make_versions(stack)
-    version = Version(7)
     target = meta(5, b"d", b"f")
-    version.files[1] = [target]
-    version.files[2] = [meta(6, b"a", b"z")]
+    version = Version(versions.options, [[], [target], [meta(6, b"a", b"z")]])
     versions.current = version
     compaction = pick_seek_compaction(versions, versions.options, 1, target)
     assert compaction is not None
@@ -127,7 +135,7 @@ def test_seek_compaction_for_live_file(stack):
 
 def test_seek_compaction_skips_stale_file(stack):
     versions = make_versions(stack)
-    versions.current = Version(7)
+    versions.current = Version(versions.options)
     ghost = meta(5, b"d", b"f")
     assert pick_seek_compaction(versions, versions.options, 1, ghost) is None
 
@@ -136,8 +144,7 @@ def test_seek_compaction_rejects_last_level(stack):
     options = Options(num_levels=3)
     versions = make_versions(stack, options)
     target = meta(5, b"d", b"f")
-    versions.current = Version(3)
-    versions.current.files[2] = [target]
+    versions.current = Version(options, [[], [], [target]])
     assert pick_seek_compaction(versions, options, 2, target) is None
 
 

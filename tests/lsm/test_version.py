@@ -59,8 +59,10 @@ def test_empty_edit_roundtrip():
 # ----------------------------------------------------------------------
 
 def test_overlapping_inputs_disjoint_level():
-    version = Version(7)
-    version.files[1] = [meta(1, b"a", b"c"), meta(2, b"d", b"f"), meta(3, b"g", b"i")]
+    version = Version(
+        Options(),
+        [[], [meta(1, b"a", b"c"), meta(2, b"d", b"f"), meta(3, b"g", b"i")]],
+    )
     hits = version.overlapping_inputs(1, b"c", b"e")
     assert [f.number for f in hits] == [1, 2]
     assert version.overlapping_inputs(1, b"x", b"z") == []
@@ -68,8 +70,10 @@ def test_overlapping_inputs_disjoint_level():
 
 
 def test_overlapping_inputs_level0_expands():
-    version = Version(7)
-    version.files[0] = [meta(1, b"a", b"d"), meta(2, b"c", b"h"), meta(3, b"g", b"k")]
+    version = Version(
+        Options(),
+        [[meta(1, b"a", b"d"), meta(2, b"c", b"h"), meta(3, b"g", b"k")]],
+    )
     # asking for [a, b] pulls in file 1; file 1 reaches d, which pulls in
     # file 2, which reaches h, which pulls in file 3 (fixed point)
     hits = version.overlapping_inputs(0, b"a", b"b")
@@ -77,24 +81,26 @@ def test_overlapping_inputs_level0_expands():
 
 
 def test_files_for_get_level0_newest_first():
-    version = Version(7)
-    version.files[0] = [meta(1, b"a", b"z"), meta(5, b"a", b"z"), meta(3, b"a", b"z")]
+    version = Version(
+        Options(),
+        [[meta(1, b"a", b"z"), meta(5, b"a", b"z"), meta(3, b"a", b"z")]],
+    )
     hits = version.files_for_get(b"m")
     assert [f.number for _, f in hits] == [5, 3, 1]
 
 
 def test_files_for_get_skips_shadows():
-    version = Version(7)
     shadow = meta(2, b"a", b"z")
     shadow.shadow = True
-    version.files[0] = [meta(1, b"a", b"z"), shadow]
+    version = Version(Options(), [[meta(1, b"a", b"z"), shadow]])
     hits = version.files_for_get(b"m")
     assert [f.number for _, f in hits] == [1]
 
 
 def test_files_for_get_one_candidate_per_deep_level():
-    version = Version(7)
-    version.files[2] = [meta(1, b"a", b"c"), meta(2, b"d", b"f")]
+    version = Version(
+        Options(), [[], [], [meta(1, b"a", b"c"), meta(2, b"d", b"f")]]
+    )
     hits = version.files_for_get(b"e")
     assert [(lvl, f.number) for lvl, f in hits] == [(2, 2)]
     assert version.files_for_get(b"zz") == []
@@ -102,15 +108,14 @@ def test_files_for_get_one_candidate_per_deep_level():
 
 def test_pick_level_for_memtable_output():
     options = Options()
-    version = Version(7)
+    version = Version(options)
     # empty store: new table can be pushed to level 2
     assert version.pick_level_for_memtable_output(b"a", b"b", options) == 2
     # overlap at level 0 keeps it at level 0
-    version.files[0] = [meta(1, b"a", b"c")]
+    version = Version(options, [[meta(1, b"a", b"c")]])
     assert version.pick_level_for_memtable_output(b"b", b"d", options) == 0
     # overlap at level 1 stops the push-down at level 0->... level 0
-    version = Version(7)
-    version.files[1] = [meta(2, b"a", b"c")]
+    version = Version(options, [[], [meta(2, b"a", b"c")]])
     assert version.pick_level_for_memtable_output(b"b", b"d", options) == 0
 
 
@@ -248,6 +253,39 @@ def test_recover_rolls_back_a_lost_output_consumed_by_a_rolled_back_edit(
     assert recovered.current.files[3] == []
 
 
+def test_recover_rolls_back_a_lost_output_that_was_trivially_moved(stack):
+    """A trivial move re-adds the file it deletes: that is no consumption.
+
+    A compaction turns 4 into 7, which never becomes durable; a trivial
+    move then carries 7 from level 1 to level 2. The move's delete must
+    not vouch for 7, so both edits roll back and 4 stays live.
+    """
+    options = Options()
+    options.sync.sync_manifest = False
+    versions = VersionSet(stack.fs, "db", options)
+    base = VersionEdit()
+    base.add_file(0, meta(4, b"a", b"z"))
+    t = versions.log_and_apply(base, at=0)
+    compaction = VersionEdit()
+    compaction.delete_file(0, 4)
+    lost = meta(7, b"a", b"z")
+    compaction.add_file(1, lost)
+    t = versions.log_and_apply(compaction, at=t)
+    move = VersionEdit()
+    move.delete_file(1, 7)
+    move.add_file(2, lost)
+    t = versions.log_and_apply(move, at=t)
+    t = stack.fs.fsync(versions._manifest, at=t)
+
+    recovered = VersionSet(stack.fs, "db", options)
+    recovered.validate_new_file = lambda m: m.number != 7
+    recovered.recover(at=t)
+    assert recovered.skipped_edits == 2
+    assert [f.number for f in recovered.current.files[0]] == [4]
+    assert recovered.current.files[1] == []
+    assert recovered.current.files[2] == []
+
+
 def test_recover_validator_accepts_consumed_missing_files(stack):
     """A file deleted by a later edit may legitimately be gone from disk."""
     options = Options()
@@ -273,9 +311,13 @@ def test_recover_validator_accepts_consumed_missing_files(stack):
 def test_level_scores(stack):
     options = Options(max_bytes_for_level_base=1000)
     versions = VersionSet(stack.fs, "db", options)
-    version = Version(options.num_levels)
-    version.files[0] = [meta(i, b"a", b"z") for i in range(1, 5)]
-    version.files[1] = [meta(9, b"a", b"z", size=2500)]
+    version = Version(
+        options,
+        [
+            [meta(i, b"a", b"z") for i in range(1, 5)],
+            [meta(9, b"a", b"z", size=2500)],
+        ],
+    )
     versions.current = version
     assert versions.level_score(0) == pytest.approx(1.0)
     assert versions.level_score(1) == pytest.approx(2.5)
